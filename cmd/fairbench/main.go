@@ -12,7 +12,7 @@
 //	fairbench fig23  [-n N]               data efficiency
 //	fairbench merge  part0.json part1.json ...   combine shard envelopes
 //	fairbench dispatch -exp fig7 ... -dir DIR    run a grid as subprocesses
-//	fairbench resume   -dir DIR                  finish an interrupted dispatch
+//	fairbench resume   -dir DIR                  finish an interrupted dispatch/sched run
 //	fairbench sched  -exp fig7 ... -dir DIR -hosts hosts.json   multi-host run
 //	fairbench serve  -state DIR [-addr HOST:PORT]    benchmark-as-a-service daemon
 //	fairbench worker   -manifest M -shard I -out O   (spawned by dispatch/sched)
@@ -69,13 +69,15 @@
 //
 // # Dispatch and resume
 //
-// dispatch drives the whole shard→merge flow itself: it splits the grid
-// -shards ways, runs up to -procs worker subprocesses (each a `fairbench
-// worker` re-exec of this binary), retries failures -retries times,
-// collects the envelopes under -dir, and prints the merged tables. The
-// directory plus the -cache store make the run resumable: if dispatch is
-// interrupted — or a worker is SIGKILLed with no retries left — the
-// completed envelopes and cached cells survive, and
+// dispatch drives the whole shard→merge flow itself: it plans the grid
+// into about -shards ranges, runs up to -procs worker subprocesses at
+// once (each a `fairbench worker` re-exec of this binary), gives each
+// failing range -retries extra attempts, collects the envelopes under
+// -dir, and prints the merged tables. It is sched on one built-in local
+// host: the same flags, the same scheduler. The directory plus the
+// -cache store make the run resumable: if dispatch is interrupted — or
+// a worker is SIGKILLed with no retries left — the completed envelopes
+// and cached cells survive, and
 //
 //	fairbench dispatch -exp fig7 -dataset german -shards 8 -procs 4 \
 //	    -dir run -cache cache
@@ -87,7 +89,7 @@
 //
 // # Multi-host scheduling
 //
-// sched generalizes dispatch to a pool of hosts described by a
+// sched with -hosts runs the grid on a pool of hosts described by a
 // hosts.json file (a JSON array of {name, slots, transport, cmd}
 // objects; see the README's "Multi-host execution" section). Local
 // hosts re-exec this binary's worker subcommand; remote hosts run a
@@ -168,12 +170,12 @@ func main() {
 	biasFlag := fs.String("bias", "", "bias-injection model applied to the training data: under|label (default: clean data)")
 	biasRateFlag := fs.Float64("bias-rate", 0, "bias rate: under-representation's positive-label drop rate β⁺, or label bias's flip rate ν")
 	biasRateNegFlag := fs.Float64("bias-rate-neg", 0, "under-representation's negative-label drop rate β⁻")
-	expFlag := fs.String("exp", "", "dispatch: grid experiment name (fig7|fig9|fig10|fig15|cv|fig22|fig23|fig8rows|fig8attrs)")
-	dirFlag := fs.String("dir", "", "dispatch/resume: dispatch directory holding the manifest and part files")
-	shardsFlag := fs.Int("shards", 0, "dispatch: k-way shard split (default: -procs)")
-	procsFlag := fs.Int("procs", 0, "dispatch/resume: max concurrent worker subprocesses (default: GOMAXPROCS)")
-	retriesFlag := fs.Int("retries", 1, "dispatch/resume: re-spawns per failed shard; sched: extra full rounds over the pool (negative = none)")
-	manifestFlag := fs.String("manifest", "", "worker: manifest file of the dispatch directory (- reads it from stdin)")
+	expFlag := fs.String("exp", "", "dispatch/sched: grid experiment name (fig7|fig9|fig10|fig15|cv|fig22|fig23|fig8rows|fig8attrs)")
+	dirFlag := fs.String("dir", "", "dispatch/sched/resume: run directory holding the manifest and part files")
+	shardsFlag := fs.Int("shards", 0, "dispatch/sched/serve: targeted number of work ranges (default: the pool's total slots)")
+	procsFlag := fs.Int("procs", 0, "dispatch/sched/resume/serve: slots of the built-in local host used without -hosts, i.e. worker subprocesses at once (default: -parallel, else GOMAXPROCS)")
+	retriesFlag := fs.Int("retries", 1, "dispatch/sched/resume/serve: extra attempts a failing range gets on each host (0 = one attempt per host)")
+	manifestFlag := fs.String("manifest", "", "worker: manifest file of the run directory (- reads it from stdin)")
 	hostsFlag := fs.String("hosts", "", "sched: hosts.json pool definition (default: one local host with -procs slots)")
 	heartbeatFlag := fs.Duration("heartbeat", 60*time.Second, "sched: declare a host dead after this long without a transport heartbeat")
 	maxHostFailFlag := fs.Int("max-host-failures", 3, "sched: exclude a host after this many failed attempts")
@@ -208,8 +210,8 @@ func main() {
 		exit(cmdWorker(*manifestFlag, idx, *outFlag))
 	}
 
-	if cmd == "sched" {
-		exit(cmdSched(*expFlag, *datasetFlag, *nFlag, *kFlag, *runsFlag, *seedFlag, bias,
+	if cmd == "sched" || cmd == "dispatch" {
+		exit(cmdSched(cmd, *expFlag, *datasetFlag, *nFlag, *kFlag, *runsFlag, *seedFlag, bias,
 			*dirFlag, *cacheFlag, *remoteStoreFlag, *hostsFlag, *shardsFlag, *procsFlag, *retriesFlag,
 			*maxHostFailFlag, *heartbeatFlag, *speculateFlag, *backoffFlag,
 			*watchHostsFlag, *localFallbackFlag, *outFlag))
@@ -243,15 +245,13 @@ func main() {
 	if bias.set() {
 		// Bias injection is a grid dimension, so a biased serial figure run
 		// routes through the same spec→engine path the dispatch/sched/serve
-		// backends use — its tables (titles included) are then byte-identical
+		// commands use — its tables (titles included) are then byte-identical
 		// to the merged shards of the same spec.
 		if _, ok := shardableCommands[cmd]; ok || cmd == "fig8" {
 			exit(cmdBiasedFigure(cmd, *datasetFlag, *nFlag, *kFlag, *runsFlag, *gridFlag,
 				*seedFlag, bias, *outFlag))
 		}
-		if cmd != "dispatch" {
-			exit(fmt.Errorf("-bias/-bias-rate/-bias-rate-neg apply to figure, dispatch, and sched commands, not %q", cmd))
-		}
+		exit(fmt.Errorf("-bias/-bias-rate/-bias-rate-neg apply to figure, dispatch, and sched commands, not %q", cmd))
 	}
 
 	var err error
@@ -278,9 +278,6 @@ func main() {
 		err = cmdFig23(*nFlag, *seedFlag)
 	case "merge":
 		err = cmdMerge(fs.Args(), *outFlag)
-	case "dispatch":
-		err = cmdDispatch(*expFlag, *datasetFlag, *nFlag, *kFlag, *runsFlag, *seedFlag, bias,
-			*dirFlag, *cacheFlag, *remoteStoreFlag, *shardsFlag, *procsFlag, *retriesFlag, *outFlag)
 	case "resume":
 		err = cmdResume(*dirFlag, *procsFlag, *retriesFlag, *outFlag)
 	case "all":
@@ -384,10 +381,11 @@ func usage() {
        fairbench merge part0.json part1.json ...                         combine shards
        fairbench dispatch -exp <figN|cv|fig8rows|fig8attrs> [figure flags]
                  -dir DIR [-shards K] [-procs N] [-retries R]
-                 [-cache DIR] [-remote-store URL]
-       fairbench resume -dir DIR [-procs N] [-retries R]                 finish an interrupted dispatch
+                 [-cache DIR] [-remote-store URL]           worker subprocesses on this machine
+                 (sched without -hosts: every sched flag applies)
+       fairbench resume -dir DIR [-procs N] [-retries R]                 finish an interrupted run
        fairbench sched -exp <figN|cv|fig8rows|fig8attrs> [figure flags] -dir DIR
-                 [-hosts hosts.json] [-shards K] [-cache DIR] [-remote-store URL]
+                 [-hosts hosts.json] [-shards K] [-procs N] [-cache DIR] [-remote-store URL]
                  [-retries R] [-heartbeat 60s] [-max-host-failures 3] [-speculate]
                  [-backoff 100ms] [-watch-hosts 5s] [-local-fallback]    multi-host run
        fairbench serve -state DIR [-addr 127.0.0.1:8080] [-cache DIR]
@@ -418,8 +416,8 @@ func (b biasSpec) apply(spec fairbench.GridSpec) fairbench.GridSpec {
 	return spec
 }
 
-// gridSpecFor assembles the grid spec the dispatch-style commands
-// (dispatch, sched) describe with their flags.
+// gridSpecFor assembles the grid spec the pool commands (dispatch,
+// sched) describe with their flags.
 func gridSpecFor(exp, ds string, n, k, runs int, seed int64, bias biasSpec) fairbench.GridSpec {
 	spec := fairbench.GridSpec{Experiment: exp, N: n, Seed: seed}
 	if ds != "" && !strings.EqualFold(ds, "all") {
@@ -441,33 +439,9 @@ func signalContext() (context.Context, context.CancelFunc) {
 	return signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 }
 
-// cmdDispatch runs a grid as worker subprocesses and prints the merged
-// tables, exactly as the serial figure command would print them.
-func cmdDispatch(exp, ds string, n, k, runs int, seed int64, bias biasSpec,
-	dir, cache, remoteStore string, shards, procs, retries int, out string) error {
-	if exp == "" {
-		return fmt.Errorf("dispatch requires -exp (fig7|fig9|fig10|fig15|cv|fig22|fig23|fig8rows|fig8attrs)")
-	}
-	if dir == "" {
-		return fmt.Errorf("dispatch requires -dir (the resumable dispatch directory)")
-	}
-	ctx, stop := signalContext()
-	defer stop()
-	spec := gridSpecFor(exp, ds, n, k, runs, seed, bias)
-	merged, rep, err := fairbench.Run(ctx, spec, fairbench.RunOptions{
-		Backend: fairbench.BackendDispatch,
-		Dir:     dir, Shards: shards, Procs: procs, Retries: retries,
-		Parallelism: parallelism, CacheDir: cache, RemoteStore: remoteStore, Log: os.Stderr,
-	})
-	if err != nil {
-		return err
-	}
-	return renderRun(merged, rep, out)
-}
-
 func cmdResume(dir string, procs, retries int, out string) error {
 	if dir == "" {
-		return fmt.Errorf("resume requires -dir (the dispatch directory to finish)")
+		return fmt.Errorf("resume requires -dir (the run directory to finish)")
 	}
 	ctx, stop := signalContext()
 	defer stop()
@@ -480,16 +454,18 @@ func cmdResume(dir string, procs, retries int, out string) error {
 	return renderRun(merged, rep, out)
 }
 
-// cmdSched runs a grid across a pool of hosts and prints the merged
-// tables — the serial figure command's output, fault-tolerantly.
-func cmdSched(exp, ds string, n, k, runs int, seed int64, bias biasSpec, dir, cache, remoteStore, hostsPath string,
+// cmdSched runs a grid on the subprocess pool — across -hosts, or on
+// the built-in local host with -procs slots — and prints the merged
+// tables: the serial figure command's output, fault-tolerantly. It is
+// the body of both `sched` and `dispatch`.
+func cmdSched(cmd, exp, ds string, n, k, runs int, seed int64, bias biasSpec, dir, cache, remoteStore, hostsPath string,
 	shards, procs, retries, maxHostFailures int, heartbeat time.Duration,
 	speculate bool, backoff, watchHosts time.Duration, localFallback bool, out string) error {
 	if exp == "" {
-		return fmt.Errorf("sched requires -exp (fig7|fig9|fig10|fig15|cv|fig22|fig23|fig8rows|fig8attrs)")
+		return fmt.Errorf("%s requires -exp (fig7|fig9|fig10|fig15|cv|fig22|fig23|fig8rows|fig8attrs)", cmd)
 	}
 	if dir == "" {
-		return fmt.Errorf("sched requires -dir (the resumable sched directory)")
+		return fmt.Errorf("%s requires -dir (the resumable run directory)", cmd)
 	}
 	var hosts []fairbench.SchedHost
 	if hostsPath != "" {
@@ -497,8 +473,6 @@ func cmdSched(exp, ds string, n, k, runs int, seed int64, bias biasSpec, dir, ca
 		if hosts, err = fairbench.LoadHosts(hostsPath); err != nil {
 			return err
 		}
-	} else if procs > 0 {
-		hosts = []fairbench.SchedHost{{Name: "local", Slots: procs}}
 	}
 	var pool fairbench.PoolSource
 	if watchHosts > 0 {
@@ -515,8 +489,8 @@ func cmdSched(exp, ds string, n, k, runs int, seed int64, bias biasSpec, dir, ca
 	ctx, stop := signalContext()
 	defer stop()
 	merged, rep, err := fairbench.Run(ctx, gridSpecFor(exp, ds, n, k, runs, seed, bias), fairbench.RunOptions{
-		Backend: fairbench.BackendSched,
-		Dir:     dir, Hosts: hosts, Shards: shards, CacheDir: cache, RemoteStore: remoteStore,
+		Backend: fairbench.BackendPool,
+		Dir:     dir, Hosts: hosts, Shards: shards, Procs: procs, CacheDir: cache, RemoteStore: remoteStore,
 		HeartbeatTimeout: heartbeat, Retries: retries, MaxHostFailures: maxHostFailures,
 		Speculate: speculate, Backoff: backoff, LocalFallback: localFallback, PoolSource: pool,
 		Parallelism: parallelism, Log: os.Stderr,
@@ -658,13 +632,9 @@ func renderRun(merged *fairbench.GridOutput, rep *fairbench.RunReport, out strin
 	case rep.ServedFromCache:
 		fmt.Fprintf(os.Stderr, "fairbench: run complete: grid fully cached — served from the result store, cells computed=0 cached=%d\n",
 			rep.CellsCached)
-	case rep.Dispatch != nil:
-		d := rep.Dispatch
-		fmt.Fprintf(os.Stderr, "fairbench: dispatch complete: %d shards (%d reused, %d ran), cells computed=%d cached=%d\n",
-			d.Shards, len(d.Reused), len(d.Ran), d.CellsComputed, d.CellsCached)
 	case rep.Sched != nil:
 		s := rep.Sched
-		fmt.Fprintf(os.Stderr, "fairbench: sched complete: %d range(s) (%d reused, %d served from cache), %d host(s) excluded, cells computed=%d cached=%d\n",
+		fmt.Fprintf(os.Stderr, "fairbench: run complete: %d range(s) (%d reused, %d served from cache), %d host(s) excluded, cells computed=%d cached=%d\n",
 			len(s.Ranges), len(s.Reused), len(s.Skipped), len(s.Excluded), s.CellsComputed, s.CellsCached)
 		if len(s.Speculated) > 0 {
 			fmt.Fprintf(os.Stderr, "fairbench: sched: %d speculative attempt(s) launched against stragglers\n", len(s.Speculated))

@@ -74,12 +74,12 @@
 // `fairbench fig7 -dataset compas -shard 0/3 -out part0.json` followed by
 // `fairbench merge part0.json part1.json part2.json`.
 //
-// # Result caching and resumable dispatch
+// # Result caching and resumable runs
 //
 // CacheDir installs an on-disk result cache keyed by (grid fingerprint,
 // cell index, seed, GOARCH). Once installed, every grid execution path —
 // the driver functions on stock benchmark sources, RunShard, and the
-// dispatcher's workers — serves verified cache hits instead of
+// pool's workers — serves verified cache hits instead of
 // recomputing cells, and re-running any figure computes only the
 // cache-miss cells while staying byte-identical to a cold run:
 //
@@ -87,10 +87,10 @@
 //	rows, _ := fairbench.RunCorrectnessFairness(src, 42) // cold: computes + caches
 //	rows, _ = fairbench.RunCorrectnessFairness(src, 42)  // warm: zero computations
 //
-// Giving Run a directory makes it dispatch the grid as worker
-// subprocesses and merge their envelopes; an interrupted (crashed,
-// killed) run is resumed with ResumeRun, which reuses every completed
-// envelope and cached cell:
+// Giving Run a directory makes it run the grid on a pool of worker
+// subprocesses — one built-in local host with Procs slots — and merge
+// their envelopes; an interrupted (crashed, killed) run is resumed with
+// ResumeRun, which reuses every completed envelope and cached cell:
 //
 //	spec := fairbench.GridSpec{Experiment: "fig7", Dataset: "compas", Seed: 42}
 //	out, rep, err := fairbench.Run(ctx, spec, fairbench.RunOptions{
@@ -104,9 +104,9 @@
 //
 // # Multi-host scheduling
 //
-// Setting RunOptions.Hosts generalizes the subprocess dispatcher to a
-// pool of hosts with per-host concurrency slots, reusing the same
-// manifest/part-file protocol. Work
+// Setting RunOptions.Hosts replaces the built-in local host with a pool
+// of hosts with per-host concurrency slots — the same scheduler, the
+// same manifest/part-file protocol. Work
 // reaches a host through a pluggable transport — local subprocesses by
 // default, or a worker binary run over any command runner (ssh-shaped)
 // with the manifest streamed in and the envelope streamed back. Planning
@@ -130,9 +130,9 @@
 // # Unified execution engine
 //
 // Run(ctx, spec, RunOptions) is the single entry point subsuming all
-// of the above: the execution backend (in-process pool, subprocess
-// dispatch, multi-host sched) is a RunOptions field, ctx cancels the
-// run promptly with directories left resumable by ResumeRun, and a
+// of the above: the execution backend — in-process, or the subprocess
+// pool on local or remote hosts — is a RunOptions field, ctx cancels
+// the run promptly with directories left resumable by ResumeRun, and a
 // fully-cached grid is served without touching a worker or host:
 //
 //	out, rep, err := fairbench.Run(ctx, spec, fairbench.RunOptions{
@@ -143,8 +143,8 @@
 //
 // Run and ResumeRun are the only whole-grid entry points — the
 // deprecated Dispatch/Resume/Sched/SchedResume/RunShardCached wrappers
-// they subsumed have been removed (the backend option structs remain as
-// the types inside RunReport). The `fairbench serve` command exposes the
+// they subsumed have been removed (SchedOptions and SchedReport remain
+// as the types inside RunReport). The `fairbench serve` command exposes the
 // same engine as a persistent HTTP service (see the README's "Serving"
 // section).
 //
@@ -160,7 +160,6 @@ import (
 	"fairbench/internal/classifier"
 	"fairbench/internal/corrupt"
 	"fairbench/internal/dataset"
-	"fairbench/internal/dispatch"
 	"fairbench/internal/engine"
 	"fairbench/internal/experiments"
 	"fairbench/internal/fair"
@@ -211,12 +210,6 @@ type (
 	ShardRange = shard.Range
 	// ShardEnvelope is the JSON-serializable partial result of one shard.
 	ShardEnvelope = shard.Envelope
-	// DispatchOptions configures a Dispatch/Resume run (shard count,
-	// worker processes, retries, cache directory).
-	DispatchOptions = dispatch.Options
-	// DispatchReport records what a dispatched run did: shards reused vs
-	// executed, per-shard attempts, and the computed/cached cell split.
-	DispatchReport = dispatch.Report
 	// CacheCounters are the in-memory hit/miss/write/reject counters of
 	// the installed result cache (plus transport-error counts for
 	// remote-backed caches).
@@ -243,13 +236,13 @@ type (
 	// annotated with their uncached cell counts.
 	ShardPlan = experiments.ShardPlan
 	// RunOptions configures a Run/ResumeRun call: one struct unifying
-	// the knobs the three execution backends understand (see Backend).
+	// the knobs the two execution backends understand (see Backend).
 	RunOptions = engine.RunOptions
 	// RunReport describes what a Run did, normalized across backends;
-	// the backend-native report rides along in its Dispatch/Sched field.
+	// the pool's native report rides along in its Sched field.
 	RunReport = engine.Report
-	// Backend selects how Run executes the grid: in-process pool,
-	// subprocess dispatch, or multi-host sched.
+	// Backend selects how Run executes the grid: in-process, or on the
+	// subprocess pool.
 	Backend = engine.Backend
 	// Engine executes grids behind the unified API with pinned
 	// defaults; see NewEngine.
@@ -266,13 +259,13 @@ type (
 )
 
 // Execution backends for RunOptions.Backend. BackendAuto resolves from
-// the options: hosts given → sched, a directory given → dispatch,
-// otherwise in-process.
+// the options: hosts or a directory given → pool, otherwise in-process.
 const (
-	BackendAuto     = engine.BackendAuto
-	BackendInproc   = engine.BackendInproc
-	BackendDispatch = engine.BackendDispatch
-	BackendSched    = engine.BackendSched
+	BackendAuto   = engine.BackendAuto
+	BackendInproc = engine.BackendInproc
+	BackendPool   = engine.BackendPool
+	// Deprecated: BackendDispatch is the pool backend; use BackendPool.
+	BackendDispatch = engine.BackendPool
 )
 
 // Pipeline stages.
@@ -400,7 +393,7 @@ var activeCache = struct {
 // CacheDir installs a process-wide on-disk result cache at dir (created
 // if missing), or removes the cache when dir is empty. While installed,
 // every grid execution path that has a fingerprint — the experiment
-// drivers on stock benchmark sources, RunShard, Dispatch workers —
+// drivers on stock benchmark sources, RunShard, the pool's workers —
 // consults it: cells cached under (grid fingerprint, cell index, seed,
 // GOARCH) are served from disk after integrity verification, and
 // freshly computed cells are written back atomically. Cached results are
@@ -510,8 +503,8 @@ var defaultEngine = engine.New(engine.RunOptions{})
 func NewEngine(defaults RunOptions) *Engine { return engine.New(defaults) }
 
 // Run plans, executes, and merges the spec's experiment grid on the
-// backend opts selects (in-process pool, subprocess dispatch, or
-// multi-host sched), returning output byte-identical (timing fields
+// backend opts selects (in-process, or the subprocess pool on local or
+// remote hosts), returning output byte-identical (timing fields
 // aside) to a serial run. A cancelled ctx stops the run promptly —
 // no new cells start, worker subprocesses are killed, in-flight host
 // attempts are cancelled — with the error wrapping ctx.Err() and
@@ -524,9 +517,9 @@ func Run(ctx context.Context, spec GridSpec, opts RunOptions) (*GridOutput, *Run
 	return defaultEngine.Run(ctx, spec, opts)
 }
 
-// ResumeRun continues the directory-backed run recorded in dir —
-// dispatch and sched directories share one manifest protocol, so either
-// resumes here. Completed envelopes are validated and reused, missing
+// ResumeRun continues the directory-backed run recorded in dir on the
+// subprocess pool — every run directory, including ones written before
+// manifests recorded a range plan, resumes here. Completed envelopes are validated and reused, missing
 // work is executed (consulting the run's result cache at cell
 // granularity), and the completed set is merged. ResumeRun replaces the
 // deprecated Resume and SchedResume.

@@ -1,7 +1,13 @@
-package dispatch
+// The tests below check the wire protocol directly (ValidatePart,
+// AcceptPart, the bounded stderr capture) and end to end: the run,
+// kill, resume and retry stories drive the protocol through its one
+// coordinator, the engine's pool backend on its built-in local host —
+// the path `fairbench dispatch` and `fairbench resume` take.
+package dispatch_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -13,15 +19,17 @@ import (
 	"testing"
 	"time"
 
+	"fairbench/internal/dispatch"
+	"fairbench/internal/engine"
 	"fairbench/internal/experiments"
 	"fairbench/internal/shard"
 )
 
-// TestMain doubles as the worker subprocess body: dispatch tests re-exec
+// TestMain doubles as the worker subprocess body: these tests re-exec
 // the test binary with FAIRBENCH_TEST_HELPER set, the same pattern the
 // standard library uses for exec tests. "worker" runs a real shard via
-// dispatch.Worker; "hang" writes its pid to a file and sleeps so the
-// parent test can SIGKILL a genuinely live worker mid-run.
+// Worker; "hang" writes its pid to a file and sleeps so the parent test
+// can SIGKILL a genuinely live worker mid-run; "fail" exits non-zero.
 func TestMain(m *testing.M) {
 	switch os.Getenv("FAIRBENCH_TEST_HELPER") {
 	case "":
@@ -29,7 +37,7 @@ func TestMain(m *testing.M) {
 	case "worker":
 		shard, err := strconv.Atoi(os.Getenv("HELPER_SHARD"))
 		if err == nil {
-			err = Worker(os.Getenv("HELPER_MANIFEST"), shard, os.Getenv("HELPER_OUT"))
+			err = dispatch.Worker(os.Getenv("HELPER_MANIFEST"), shard, os.Getenv("HELPER_OUT"))
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -51,7 +59,7 @@ func TestMain(m *testing.M) {
 }
 
 // helperSpawn re-execs this test binary in the given helper mode.
-func helperSpawn(mode string, extraEnv ...string) SpawnFunc {
+func helperSpawn(mode string, extraEnv ...string) dispatch.SpawnFunc {
 	return func(manifestPath string, shard int, outPath string) (*exec.Cmd, error) {
 		cmd := exec.Command(os.Args[0])
 		cmd.Env = append(os.Environ(),
@@ -70,7 +78,7 @@ func smallSpec() experiments.Spec {
 		Sizes: []int{60, 120}, Names: []string{"LR", "KamCal-DP"}}
 }
 
-// canonical marshals an output with its timing fields zeroed (dispatch
+// canonical marshals an output with its timing fields zeroed (the pool
 // only guarantees the metric payload).
 func canonical(t *testing.T, out *experiments.Output) []byte {
 	t.Helper()
@@ -102,12 +110,28 @@ func serialReference(t *testing.T, spec experiments.Spec) []byte {
 	return canonical(t, out)
 }
 
-// TestDispatchMatchesSerial: the plain happy path — K worker
-// subprocesses, merged output byte-identical to a serial run.
+// run executes spec on the engine's pool backend with the built-in
+// local host — what `fairbench dispatch` does.
+func run(spec experiments.Spec, opts engine.RunOptions) (*experiments.Output, *engine.Report, error) {
+	opts.Backend = engine.BackendPool
+	return engine.New(engine.RunOptions{}).Run(context.Background(), spec, opts)
+}
+
+// resume continues the run in dir — what `fairbench resume` does.
+func resume(dir string, opts engine.RunOptions) (*experiments.Output, *engine.Report, error) {
+	return engine.New(engine.RunOptions{}).ResumeRun(context.Background(), dir, opts)
+}
+
+// ran lists the plan positions the local host executed this call.
+func ran(rep *engine.Report) []int { return rep.Sched.Completed["local"] }
+
+// TestDispatchMatchesSerial: the plain happy path — one worker
+// subprocess per planned range, merged output byte-identical to a
+// serial run.
 func TestDispatchMatchesSerial(t *testing.T) {
 	spec := smallSpec()
 	want := serialReference(t, spec)
-	out, rep, err := Run(spec, Options{
+	out, rep, err := run(spec, engine.RunOptions{
 		Dir: t.TempDir(), Shards: 3, Procs: 2, Spawn: helperSpawn("worker"),
 	})
 	if err != nil {
@@ -116,8 +140,9 @@ func TestDispatchMatchesSerial(t *testing.T) {
 	if !bytes.Equal(want, canonical(t, out)) {
 		t.Fatal("dispatched output diverges from serial run")
 	}
-	if len(rep.Ran) != 3 || len(rep.Reused) != 0 || rep.CellsComputed != 4 || rep.CellsCached != 0 {
-		t.Fatalf("report %+v", rep)
+	if rep.Backend != engine.BackendPool || len(rep.Sched.Ranges) < 2 || len(ran(rep)) != len(rep.Sched.Ranges) ||
+		len(rep.Sched.Reused) != 0 || rep.CellsComputed != 4 || rep.CellsCached != 0 {
+		t.Fatalf("report %+v / %+v", rep, rep.Sched)
 	}
 }
 
@@ -153,9 +178,9 @@ func TestKillResumeMatchesSerial(t *testing.T) {
 		killed <- fmt.Errorf("no worker pid appeared to kill")
 	}()
 
-	// Shard 1's worker hangs (and gets killed); procs=1 keeps the
-	// sequence deterministic: shard 0 completes, shard 1 dies, shard 2
-	// completes, dispatch fails listing shard 1.
+	// Range 1's worker hangs (and gets killed); procs=1 keeps the
+	// sequence deterministic: range 0 completes, range 1 dies, range 2
+	// completes, the run fails listing range 1.
 	normal := helperSpawn("worker")
 	spawn := func(manifestPath string, shard int, outPath string) (*exec.Cmd, error) {
 		if shard == 1 {
@@ -163,7 +188,7 @@ func TestKillResumeMatchesSerial(t *testing.T) {
 		}
 		return normal(manifestPath, shard, outPath)
 	}
-	_, rep, err := Run(spec, Options{
+	_, rep, err := run(spec, engine.RunOptions{
 		Dir: dir, Shards: 3, Procs: 1, Retries: 0, CacheDir: cacheDir, Spawn: spawn,
 	})
 	if err == nil {
@@ -172,33 +197,33 @@ func TestKillResumeMatchesSerial(t *testing.T) {
 	if ke := <-killed; ke != nil {
 		t.Fatalf("failed to kill the worker: %v", ke)
 	}
-	if len(rep.Failed) != 1 || rep.Failed[0] != 1 {
-		t.Fatalf("failed shards %v, want [1]", rep.Failed)
+	if len(rep.Sched.Ranges) != 3 || len(rep.Sched.Failed) != 1 || rep.Sched.Failed[0] != 1 {
+		t.Fatalf("failed ranges %v of %v, want [1]", rep.Sched.Failed, rep.Sched.Ranges)
 	}
-	if !strings.Contains(err.Error(), "shard(s) 1 still missing") ||
+	if !strings.Contains(err.Error(), "range(s) 1 still missing") ||
 		!strings.Contains(err.Error(), "resume") {
-		t.Fatalf("error does not name the missing shard with a resume hint: %v", err)
+		t.Fatalf("error does not name the missing range with a resume hint: %v", err)
 	}
 	for _, i := range []int{0, 2} {
-		if _, err := os.Stat(filepath.Join(dir, PartName(i))); err != nil {
+		if _, err := os.Stat(filepath.Join(dir, dispatch.PartName(i))); err != nil {
 			t.Fatalf("surviving shard %d left no envelope: %v", i, err)
 		}
 	}
 
-	// Resume completes only the missing shard and merges.
-	out, rep, err := Resume(dir, Options{Procs: 2, Spawn: normal})
+	// Resume completes only the missing range and merges.
+	out, rep, err := resume(dir, engine.RunOptions{Procs: 2, Spawn: normal})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Reused) != 2 || len(rep.Ran) != 1 || rep.Ran[0] != 1 {
-		t.Fatalf("resume report %+v", rep)
+	if len(rep.Sched.Reused) != 2 || len(ran(rep)) != 1 || ran(rep)[0] != 1 {
+		t.Fatalf("resume report %+v", rep.Sched)
 	}
 	if !bytes.Equal(want, canonical(t, out)) {
 		t.Fatal("killed-and-resumed output diverges from serial run")
 	}
 
-	// Warm re-dispatch: every cell of every shard comes from the cache.
-	out2, rep2, err := Run(spec, Options{
+	// Warm re-dispatch: every cell of every range comes from the cache.
+	out2, rep2, err := run(spec, engine.RunOptions{
 		Dir: t.TempDir(), Shards: 3, Procs: 2, CacheDir: cacheDir, Spawn: normal,
 	})
 	if err != nil {
@@ -216,7 +241,7 @@ func TestKillResumeMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestRetriesRecoverFlakyWorker: a shard whose first attempt exits
+// TestRetriesRecoverFlakyWorker: a range whose first attempt exits
 // non-zero succeeds on the retry without failing the run.
 func TestRetriesRecoverFlakyWorker(t *testing.T) {
 	spec := smallSpec()
@@ -232,14 +257,14 @@ func TestRetriesRecoverFlakyWorker(t *testing.T) {
 		}
 		return normal(manifestPath, shard, outPath)
 	}
-	out, rep, err := Run(spec, Options{
+	out, rep, err := run(spec, engine.RunOptions{
 		Dir: t.TempDir(), Shards: 2, Procs: 1, Retries: 1, Spawn: spawn,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Attempts[0] != 2 {
-		t.Fatalf("shard 0 took %d attempts, want 2", rep.Attempts[0])
+	if rep.Sched.Attempts[0] != 2 {
+		t.Fatalf("range 0 took %d attempts, want 2", rep.Sched.Attempts[0])
 	}
 	if !bytes.Equal(want, canonical(t, out)) {
 		t.Fatal("retried output diverges from serial run")
@@ -252,7 +277,7 @@ func TestWorkerLyingAboutSuccessIsCaught(t *testing.T) {
 	spawn := func(string, int, string) (*exec.Cmd, error) {
 		return exec.Command("true"), nil
 	}
-	_, _, err := Run(smallSpec(), Options{
+	_, _, err := run(smallSpec(), engine.RunOptions{
 		Dir: t.TempDir(), Shards: 2, Procs: 1, Spawn: spawn,
 	})
 	if err == nil || !strings.Contains(err.Error(), "exited 0 but") {
@@ -261,28 +286,28 @@ func TestWorkerLyingAboutSuccessIsCaught(t *testing.T) {
 }
 
 func TestResumeRequiresManifest(t *testing.T) {
-	if _, _, err := Resume(t.TempDir(), Options{}); err == nil ||
+	if _, _, err := resume(t.TempDir(), engine.RunOptions{}); err == nil ||
 		!strings.Contains(err.Error(), "nothing to resume") {
 		t.Fatalf("want nothing-to-resume error, got %v", err)
 	}
 }
 
-// TestDirCannotMixRuns: dispatching a different grid into a live
-// dispatch directory must be refused.
+// TestDirCannotMixRuns: dispatching a different grid into a live run
+// directory must be refused.
 func TestDirCannotMixRuns(t *testing.T) {
 	dir := t.TempDir()
-	if _, _, err := Run(smallSpec(), Options{Dir: dir, Shards: 2, Procs: 1, Spawn: helperSpawn("worker")}); err != nil {
+	if _, _, err := run(smallSpec(), engine.RunOptions{Dir: dir, Shards: 2, Procs: 1, Spawn: helperSpawn("worker")}); err != nil {
 		t.Fatal(err)
 	}
 	other := smallSpec()
 	other.Seed = 99
-	if _, _, err := Run(other, Options{Dir: dir, Shards: 2, Procs: 1, Spawn: helperSpawn("worker")}); err == nil ||
+	if _, _, err := run(other, engine.RunOptions{Dir: dir, Shards: 2, Procs: 1, Spawn: helperSpawn("worker")}); err == nil ||
 		!strings.Contains(err.Error(), "different run") {
 		t.Fatalf("want different-run refusal, got %v", err)
 	}
 	// Same grid, conflicting cache directory: the manifest's cache is
 	// part of the run's identity and cannot be switched silently.
-	if _, _, err := Run(smallSpec(), Options{
+	if _, _, err := run(smallSpec(), engine.RunOptions{
 		Dir: dir, Shards: 2, Procs: 1, CacheDir: t.TempDir(), Spawn: helperSpawn("worker"),
 	}); err == nil || !strings.Contains(err.Error(), "cannot change") {
 		t.Fatalf("want cache-dir conflict refusal, got %v", err)
@@ -309,7 +334,7 @@ func TestValidatePartEnforcesPlanBoundaries(t *testing.T) {
 	n := g.Len()
 	planA := []shard.Range{{Start: 0, End: 1}, {Start: 1, End: n}}
 	planB := []shard.Range{{Start: 0, End: n - 1}, {Start: n - 1, End: n}}
-	m := &Manifest{Version: ManifestVersion, Spec: spec, Shards: 2, Fingerprint: fp, Ranges: planA}
+	m := &dispatch.Manifest{Version: dispatch.ManifestVersion, Spec: spec, Shards: 2, Fingerprint: fp, Ranges: planA}
 
 	dir := t.TempDir()
 	write := func(plan []shard.Range, i int) string {
@@ -321,7 +346,7 @@ func TestValidatePartEnforcesPlanBoundaries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		path := filepath.Join(dir, PartName(i))
+		path := filepath.Join(dir, dispatch.PartName(i))
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -329,34 +354,34 @@ func TestValidatePartEnforcesPlanBoundaries(t *testing.T) {
 	}
 	// Same grid, same fingerprint, same plan position — wrong boundaries.
 	path := write(planB, 0)
-	if err := ValidatePart(path, m, 0); err == nil ||
+	if err := dispatch.ValidatePart(path, m, 0); err == nil ||
 		!strings.Contains(err.Error(), "range") {
 		t.Fatalf("foreign-boundary envelope accepted: %v", err)
 	}
 	// The genuine cut validates.
-	if err := ValidatePart(write(planA, 0), m, 0); err != nil {
+	if err := dispatch.ValidatePart(write(planA, 0), m, 0); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestInvalidPartIsDiscardedAndRerun: a corrupt part file in the
-// directory is moved aside and its shard re-executed.
+// directory is moved aside and its range re-executed.
 func TestInvalidPartIsDiscardedAndRerun(t *testing.T) {
 	spec := smallSpec()
 	dir := t.TempDir()
-	if _, _, err := Run(spec, Options{Dir: dir, Shards: 2, Procs: 1, Spawn: helperSpawn("worker")}); err != nil {
+	if _, _, err := run(spec, engine.RunOptions{Dir: dir, Shards: 2, Procs: 1, Spawn: helperSpawn("worker")}); err != nil {
 		t.Fatal(err)
 	}
-	part := filepath.Join(dir, PartName(1))
+	part := filepath.Join(dir, dispatch.PartName(1))
 	if err := os.WriteFile(part, []byte("{garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	out, rep, err := Resume(dir, Options{Procs: 1, Spawn: helperSpawn("worker")})
+	out, rep, err := resume(dir, engine.RunOptions{Procs: 1, Spawn: helperSpawn("worker")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Reused) != 1 || len(rep.Ran) != 1 || rep.Ran[0] != 1 {
-		t.Fatalf("report %+v", rep)
+	if len(rep.Sched.Reused) != 1 || len(ran(rep)) != 1 || ran(rep)[0] != 1 {
+		t.Fatalf("report %+v", rep.Sched)
 	}
 	if _, err := os.Stat(part + ".invalid"); err != nil {
 		t.Fatal("invalid part not preserved aside")
@@ -367,7 +392,7 @@ func TestInvalidPartIsDiscardedAndRerun(t *testing.T) {
 }
 
 func TestBoundedBufferCapsAndMarks(t *testing.T) {
-	b := NewBoundedBuffer(128)
+	b := dispatch.NewBoundedBuffer(128)
 	line := []byte("0123456789abcdef\n")
 	var total int64
 	for i := 0; i < 100; i++ {
@@ -396,7 +421,7 @@ func TestBoundedBufferCapsAndMarks(t *testing.T) {
 }
 
 func TestBoundedBufferSmallWritesUntruncated(t *testing.T) {
-	b := NewBoundedBuffer(1024)
+	b := dispatch.NewBoundedBuffer(1024)
 	b.Write([]byte("only a few bytes"))
 	if got := b.String(); got != "only a few bytes" {
 		t.Fatalf("got %q", got)
@@ -411,11 +436,11 @@ func TestBoundedBufferSmallWritesUntruncated(t *testing.T) {
 // event that silently hid the fact that output was dropped would send
 // operators debugging the wrong thing.
 func TestStderrTailKeepsTruncationMarker(t *testing.T) {
-	b := NewBoundedBuffer(256)
+	b := dispatch.NewBoundedBuffer(256)
 	for i := 0; i < 200; i++ {
 		fmt.Fprintf(b, "noise line %d\n", i)
 	}
-	tail := StderrTail(b.String())
+	tail := dispatch.StderrTail(b.String())
 	if !strings.Contains(tail, "stderr bytes dropped") {
 		t.Fatalf("marker cut from tail: %q", tail)
 	}
@@ -442,15 +467,15 @@ func TestAcceptPartPromotesExactlyValidParts(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := []shard.Range{{Start: 0, End: 1}, {Start: 1, End: g.Len()}}
-	m := &Manifest{Version: ManifestVersion, Spec: spec, Shards: 2, Fingerprint: fp, Ranges: plan}
+	m := &dispatch.Manifest{Version: dispatch.ManifestVersion, Spec: spec, Shards: 2, Fingerprint: fp, Ranges: plan}
 	dir := t.TempDir()
-	partPath := filepath.Join(dir, PartName(0))
+	partPath := filepath.Join(dir, dispatch.PartName(0))
 
 	bad := filepath.Join(dir, "part-000.json.attempt-0")
 	if err := os.WriteFile(bad, []byte(`{"fault":"corrupt"}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := AcceptPart(bad, partPath, m, 0); err == nil {
+	if err := dispatch.AcceptPart(bad, partPath, m, 0); err == nil {
 		t.Fatal("corrupt attempt accepted")
 	}
 	if _, err := os.Stat(partPath); err == nil {
@@ -469,13 +494,13 @@ func TestAcceptPartPromotesExactlyValidParts(t *testing.T) {
 	if err := os.WriteFile(good, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := AcceptPart(good, partPath, m, 0); err != nil {
+	if err := dispatch.AcceptPart(good, partPath, m, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(good); !os.IsNotExist(err) {
 		t.Fatal("accepted attempt file was copied, not renamed")
 	}
-	if err := ValidatePart(partPath, m, 0); err != nil {
+	if err := dispatch.ValidatePart(partPath, m, 0); err != nil {
 		t.Fatalf("promoted part does not validate: %v", err)
 	}
 }

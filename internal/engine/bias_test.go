@@ -22,8 +22,9 @@ func biasedSpec() experiments.Spec {
 	return s
 }
 
-// TestBiasedBackendsMatchSerial: one biased spec, three backends, all
-// byte-identical to the serial reference — and every report names the
+// TestBiasedBackendsMatchSerial: one biased spec, both backends (the
+// pool on its local host and on explicit hosts), all byte-identical to
+// the serial reference — and every report names the
 // coordinator's architecture (the store's cache partition).
 func TestBiasedBackendsMatchSerial(t *testing.T) {
 	spec := biasedSpec()
@@ -54,8 +55,8 @@ func TestBiasedBackendsMatchSerial(t *testing.T) {
 	if !bytes.Equal(want, canonical(t, out)) {
 		t.Fatal("dispatched biased output diverges from serial run")
 	}
-	if rep.Backend != BackendDispatch || rep.Arch != runtime.GOARCH {
-		t.Fatalf("dispatch report %+v", rep)
+	if rep.Backend != BackendPool || rep.Arch != runtime.GOARCH {
+		t.Fatalf("local pool report %+v", rep)
 	}
 
 	out, rep, err = eng.Run(ctx, spec, RunOptions{
@@ -69,8 +70,8 @@ func TestBiasedBackendsMatchSerial(t *testing.T) {
 	if !bytes.Equal(want, canonical(t, out)) {
 		t.Fatal("sched biased output diverges from serial run")
 	}
-	if rep.Backend != BackendSched || rep.Arch != runtime.GOARCH {
-		t.Fatalf("sched report %+v", rep)
+	if rep.Backend != BackendPool || rep.Arch != runtime.GOARCH {
+		t.Fatalf("host pool report %+v", rep)
 	}
 }
 
@@ -117,7 +118,7 @@ func TestBiasedWarmGridComputesNothing(t *testing.T) {
 	}
 }
 
-// TestBiasedRunResumesAfterKilledWorker: cancel a biased dispatch run
+// TestBiasedRunResumesAfterKilledWorker: cancel a biased pool run
 // while delayed workers genuinely execute (the engine kills them), then
 // resume the directory — the finished output must still be
 // byte-identical to serial. This is the acceptance criterion that a
@@ -148,7 +149,7 @@ func TestBiasedRunResumesAfterKilledWorker(t *testing.T) {
 	if !bytes.Equal(serialReference(t, spec), canonical(t, out)) {
 		t.Fatal("resumed biased output diverges from serial run")
 	}
-	if rep.Backend != BackendDispatch {
+	if rep.Backend != BackendPool {
 		t.Fatalf("resume report %+v", rep)
 	}
 }

@@ -1,12 +1,12 @@
 // Package engine is the one entry point to grid execution: a single
 // Run(ctx, spec, RunOptions) call that plans, executes, and merges an
-// experiment grid on any of the three execution backends — the
-// in-process worker pool, the subprocess dispatcher, or the multi-host
-// scheduler — selected by an options field rather than by calling three
-// different APIs. It exists to collapse the facade's accreted
-// Dispatch/Sched/RunShardCached entry points (each with overlapping
-// option structs) into one coordinator that the CLI and the serve
-// daemon share.
+// experiment grid on one of two backends — the in-process worker pool,
+// or a pool of worker subprocesses coordinated by internal/sched —
+// selected by an options field. The pool backend runs on the hosts the
+// caller gives, or on one built-in local host, so a single-machine
+// subprocess run and a multi-host run share one coordinator, one
+// directory protocol, and one resume path. The CLI and the serve daemon
+// both drive this engine.
 //
 // Unifying guarantees, regardless of backend:
 //
@@ -40,46 +40,46 @@ import (
 type Backend string
 
 const (
-	// BackendAuto resolves from the options: hosts given → sched, a
-	// directory given → dispatch, otherwise in-process.
+	// BackendAuto resolves from the options: hosts or a directory given
+	// → pool, otherwise in-process.
 	BackendAuto Backend = ""
 	// BackendInproc runs the grid on this process's worker pool.
 	BackendInproc Backend = "inproc"
-	// BackendDispatch runs the grid as worker subprocesses coordinated
-	// through a dispatch directory (resumable).
-	BackendDispatch Backend = "dispatch"
-	// BackendSched schedules the grid across a pool of hosts (resumable,
-	// cache-aware planning, failure handling).
-	BackendSched Backend = "sched"
+	// BackendPool schedules the grid as worker subprocesses across a
+	// pool of hosts — Hosts, or one built-in local host — coordinated
+	// through a run directory (resumable, cache-aware planning, failure
+	// handling).
+	BackendPool Backend = "pool"
 )
 
 // RunOptions configures one engine run: the union of the knobs the
-// three backends understand, deduplicated. Fields a backend does not
-// use are ignored by it (documented per field). The zero value runs
-// in-process with no cache.
+// two backends understand. Fields a backend does not use are ignored
+// by it (documented per field). The zero value runs in-process with no
+// cache.
 type RunOptions struct {
 	// Backend picks the execution backend; BackendAuto resolves from
 	// Hosts/Dir as documented on the constants.
 	Backend Backend
 	// Dir is the run directory holding the manifest and part files.
-	// Required for dispatch and sched; unused in-process.
+	// Required for the pool; unused in-process.
 	Dir string
-	// Shards is the k of the k-way split (dispatch) or the targeted
-	// work-range count of the cache-aware plan (sched). Defaults to
-	// Procs (dispatch) or the pool's slot count (sched).
+	// Shards is the targeted work-range count of the pool's cache-aware
+	// plan. Defaults to the pool's slot count.
 	Shards int
-	// Procs caps concurrent worker subprocesses (dispatch) and sizes
-	// the default local host's slots (sched with no Hosts).
+	// Procs is the slot count of the built-in local host the pool runs
+	// on when Hosts is empty: how many worker subprocesses run at once.
+	// Zero falls back to Parallelism.
 	Procs int
 	// Parallelism sizes the worker pool a single process uses for grid
-	// cells: the in-process backend's pool directly, the default for
-	// Procs on dispatch, and the default local host's slots on sched.
-	// Zero means one worker per CPU. This is the options-first
-	// replacement for the deprecated process-global
-	// fairbench.SetParallelism.
+	// cells: the in-process backend's pool directly, and the built-in
+	// local host's slots when Procs is zero. Zero means one worker per
+	// CPU. This is the options-first replacement for the deprecated
+	// process-global fairbench.SetParallelism.
 	Parallelism int
-	// Retries is the per-shard re-spawn budget (dispatch) or the number
-	// of extra full rounds over the pool (sched).
+	// Retries is how many extra attempts a failing range gets on each
+	// host of the pool: 0 means one attempt per host, so one attempt in
+	// all on the built-in local host. Moving a failed range to a host
+	// that has not failed it yet is not a retry.
 	Retries int
 	// CacheDir, when set, is the fingerprint-keyed result store: cells
 	// already computed are served from disk on every backend, and a
@@ -90,36 +90,37 @@ type RunOptions struct {
 	// CacheDir via store.OpenBackend: cells computed by other machines
 	// or past CI runs are served instead of recomputed, and cells this
 	// run computes are written through for the rest of the fleet.
-	// Dispatch and sched record it in the manifest so workers and
-	// resumes inherit it. A remote outage degrades the run to
+	// The pool records it in the manifest so workers and resumes
+	// inherit it. A remote outage degrades the run to
 	// local-only (Report.CacheDegraded) instead of failing it.
 	RemoteStore string
-	// Hosts is the sched execution pool. Setting it (with BackendAuto)
-	// selects the sched backend.
+	// Hosts is the pool's membership. Empty means one built-in host
+	// named "local" with Procs slots. Setting it (with BackendAuto)
+	// selects the pool backend.
 	Hosts []sched.Host
-	// HeartbeatTimeout and MaxHostFailures tune sched failure handling.
+	// HeartbeatTimeout and MaxHostFailures tune the pool's failure
+	// handling.
 	HeartbeatTimeout time.Duration
 	MaxHostFailures  int
-	// Speculate enables sched's speculative execution: straggling
+	// Speculate enables the pool's speculative execution: straggling
 	// ranges are re-launched on an idle host, first valid part wins.
 	Speculate bool
-	// Backoff is sched's retry backoff base delay (exponential with
+	// Backoff is the pool's retry backoff base delay (exponential with
 	// deterministic jitter); zero keeps sched's default, negative
 	// disables backoff.
 	Backoff time.Duration
-	// LocalFallback lets a sched run whose whole pool is lost complete
+	// LocalFallback lets a pool run whose every host is lost complete
 	// in-process on the coordinator, marked Report.Degraded.
 	LocalFallback bool
-	// PoolSource feeds sched dynamic pool membership (joins/leaves
-	// mid-run); see sched.PoolChan and sched.WatchHosts.
+	// PoolSource feeds dynamic pool membership (joins/leaves mid-run);
+	// see sched.PoolChan and sched.WatchHosts.
 	PoolSource sched.PoolSource
 	// Transports overlays sched's built-in transport registry.
 	Transports map[string]sched.Transport
-	// Spawn overrides how worker subprocesses are launched (dispatch
-	// workers and sched's local transport). Nil re-execs this binary's
-	// `worker` subcommand.
+	// Spawn overrides how the local transport launches worker
+	// subprocesses. Nil re-execs this binary's `worker` subcommand.
 	Spawn dispatch.SpawnFunc
-	// OnEvent observes sched scheduling events (heartbeats,
+	// OnEvent observes the pool's scheduling events (heartbeats,
 	// completions, failures, exclusions); see sched.Options.OnEvent.
 	OnEvent func(sched.Event)
 	// Log receives progress lines; nil discards them.
@@ -127,8 +128,7 @@ type RunOptions struct {
 }
 
 // Report describes what a run did, normalized across backends; the
-// backend's native report rides along for callers that need the
-// details.
+// pool's native report rides along for callers that need the details.
 type Report struct {
 	// Backend is the backend that actually executed the run.
 	Backend Backend
@@ -147,24 +147,24 @@ type Report struct {
 	// the result store by the calling process: no worker subprocess was
 	// spawned and no host was touched.
 	ServedFromCache bool
-	// Degraded marks a sched run that completed only through the
-	// coordinator's local fallback after the whole pool was lost.
+	// Degraded marks a pool run that completed only through the
+	// coordinator's local fallback after every host was lost.
 	Degraded bool
 	// CacheStats is the coordinating process's result-store counters for
 	// this run. Rejected > 0 means cache bytes (on disk or from the
 	// remote) failed verification and were recomputed instead of served
-	// — correct, but worth an operator's attention. Dispatch workers
-	// keep their own counters; for that backend this reflects only the
-	// coordinator's plan-time probes.
+	// — correct, but worth an operator's attention. Pool workers keep
+	// their own counters; for that backend this reflects only the
+	// coordinator's own store traffic (plan-time probes, ranges it
+	// served, local fallback).
 	CacheStats store.Counters
 	// CacheDegraded marks that the tiered store's remote side was
 	// declared down mid-run: the run completed on local cache and
 	// compute alone, byte-identical, without the fleet-wide cache.
 	CacheDegraded bool
-	// Dispatch and Sched carry the backend-native report when that
-	// backend ran.
-	Dispatch *dispatch.Report
-	Sched    *sched.Report
+	// Sched carries the scheduler's native report when the pool ran
+	// (nil when the grid was served from cache or ran in-process).
+	Sched *sched.Report
 }
 
 // Engine executes grids behind one API. The zero value is usable; New
@@ -248,10 +248,8 @@ func resolve(opts RunOptions) Backend {
 	switch {
 	case opts.Backend != BackendAuto:
 		return opts.Backend
-	case len(opts.Hosts) > 0:
-		return BackendSched
-	case opts.Dir != "":
-		return BackendDispatch
+	case len(opts.Hosts) > 0 || opts.Dir != "":
+		return BackendPool
 	default:
 		return BackendInproc
 	}
@@ -261,41 +259,31 @@ func resolve(opts RunOptions) Backend {
 // result. See the package comment for the cross-backend guarantees.
 func (e *Engine) Run(ctx context.Context, spec experiments.Spec, opts RunOptions) (*experiments.Output, *Report, error) {
 	opts = e.merged(opts)
-	backend := resolve(opts)
-	switch backend {
+	switch backend := resolve(opts); backend {
 	case BackendInproc:
 		return runInproc(ctx, spec, opts)
-	case BackendDispatch, BackendSched:
+	case BackendPool:
 		if opts.Dir == "" {
 			return nil, nil, fmt.Errorf("engine: backend %q requires Dir", backend)
 		}
-		if out, rep, ok, err := serveFromCache(ctx, spec, opts, backend); ok || err != nil {
+		if out, rep, ok, err := serveFromCache(ctx, spec, opts); ok || err != nil {
 			return out, rep, err
 		}
-		if backend == BackendDispatch {
-			out, drep, err := dispatch.RunContext(ctx, spec, dispatchOptions(opts))
-			return out, fromDispatch(drep), err
-		}
-		out, srep, err := sched.RunContext(ctx, spec, schedOptions(opts))
+		out, srep, err := sched.RunContext(ctx, spec, poolOptions(opts))
 		return out, fromSched(srep), err
 	default:
 		return nil, nil, fmt.Errorf("engine: unknown backend %q", backend)
 	}
 }
 
-// ResumeRun continues the directory-backed run recorded in dir
-// (dispatch or sched — they share the manifest protocol). The sched
-// backend is used when the resolved backend is sched; everything else
-// resumes through the dispatcher, which handles both directory layouts.
+// ResumeRun continues the run recorded in dir on the pool. Directories
+// whose manifest carries no range plan resume on the uniform split
+// their workers used.
 func (e *Engine) ResumeRun(ctx context.Context, dir string, opts RunOptions) (*experiments.Output, *Report, error) {
 	opts = e.merged(opts)
 	opts.Dir = dir
-	if resolve(opts) == BackendSched {
-		out, srep, err := sched.ResumeContext(ctx, dir, schedOptions(opts))
-		return out, fromSched(srep), err
-	}
-	out, drep, err := dispatch.ResumeContext(ctx, dir, dispatchOptions(opts))
-	return out, fromDispatch(drep), err
+	out, srep, err := sched.ResumeContext(ctx, dir, poolOptions(opts))
+	return out, fromSched(srep), err
 }
 
 // runInproc executes the whole grid as one in-process "shard" on the
@@ -337,17 +325,17 @@ func attachCache(rep *Report, s store.Backend) {
 	}
 }
 
-// serveFromCache is the warm-grid short-circuit for the process-backed
-// backends: when a fresh run's grid is fully served by the result
-// store, the coordinator materializes it directly — computed=0, no
-// subprocess spawned, no host touched. Runs that already have a
-// manifest (interrupted, being resumed by Run) fall through so the
-// directory protocol stays in charge.
-func serveFromCache(ctx context.Context, spec experiments.Spec, opts RunOptions, backend Backend) (*experiments.Output, *Report, bool, error) {
+// serveFromCache is the pool's warm-grid short-circuit: when a fresh
+// run's grid is fully served by the result store, the coordinator
+// materializes it directly — computed=0, no subprocess spawned, no
+// host touched, no manifest written. Runs that already have a manifest
+// (interrupted, being resumed by Run) fall through so the directory
+// protocol stays in charge.
+func serveFromCache(ctx context.Context, spec experiments.Spec, opts RunOptions) (*experiments.Output, *Report, bool, error) {
 	if opts.CacheDir == "" && opts.RemoteStore == "" {
 		return nil, nil, false, nil
 	}
-	if _, err := os.Stat(filepath.Join(opts.Dir, "manifest.json")); err == nil {
+	if _, err := os.Stat(filepath.Join(opts.Dir, dispatch.ManifestName)); err == nil {
 		return nil, nil, false, nil
 	}
 	s, err := store.OpenBackend(opts.CacheDir, opts.RemoteStore)
@@ -398,7 +386,7 @@ func serveFromCache(ctx context.Context, spec experiments.Spec, opts RunOptions,
 		fmt.Fprintf(opts.Log, "engine: grid fully cached — served %d cell(s) from %s without touching a worker or host\n", cached, src)
 	}
 	rep := &Report{
-		Backend:         backend,
+		Backend:         BackendPool,
 		Arch:            runtime.GOARCH,
 		Fingerprint:     fp,
 		CellsCached:     cached,
@@ -408,36 +396,25 @@ func serveFromCache(ctx context.Context, spec experiments.Spec, opts RunOptions,
 	return out, rep, true, nil
 }
 
-func dispatchOptions(opts RunOptions) dispatch.Options {
-	procs := opts.Procs
-	if procs == 0 {
-		// Parallelism is the cross-backend pool knob: on dispatch it
-		// bounds concurrent worker subprocesses unless Procs pins them.
-		procs = opts.Parallelism
-	}
-	return dispatch.Options{
-		Dir:         opts.Dir,
-		Shards:      opts.Shards,
-		Procs:       procs,
-		Retries:     opts.Retries,
-		CacheDir:    opts.CacheDir,
-		RemoteStore: opts.RemoteStore,
-		Spawn:       opts.Spawn,
-		Log:         opts.Log,
-	}
-}
-
-func schedOptions(opts RunOptions) sched.Options {
+// poolOptions maps RunOptions onto the scheduler, building the
+// built-in local host when no Hosts are given: Procs slots, else
+// Parallelism, else one per CPU.
+func poolOptions(opts RunOptions) sched.Options {
 	hosts := opts.Hosts
-	if len(hosts) == 0 && opts.Parallelism > 0 {
-		// No explicit pool: Parallelism sizes the default local host, so
-		// the cross-backend pool knob reaches sched too.
-		hosts = []sched.Host{{Name: "local", Slots: opts.Parallelism}}
+	if len(hosts) == 0 {
+		slots := opts.Procs
+		if slots <= 0 {
+			slots = opts.Parallelism
+		}
+		if slots <= 0 {
+			slots = runtime.GOMAXPROCS(0)
+		}
+		hosts = []sched.Host{{Name: "local", Slots: slots}}
 	}
 	transports := opts.Transports
 	if opts.Spawn != nil && (transports == nil || transports["local"] == nil) {
-		// Route the spawn override through the local transport so one
-		// RunOptions field covers both process-backed backends.
+		// Route the spawn override through the local transport, the one
+		// that spawns subprocesses on this machine.
 		merged := map[string]sched.Transport{"local": &sched.LocalExec{Spawn: opts.Spawn}}
 		for name, t := range transports {
 			merged[name] = t
@@ -463,26 +440,12 @@ func schedOptions(opts RunOptions) sched.Options {
 	}
 }
 
-func fromDispatch(rep *dispatch.Report) *Report {
-	if rep == nil {
-		return nil
-	}
-	return &Report{
-		Backend:       BackendDispatch,
-		Arch:          runtime.GOARCH,
-		Fingerprint:   rep.Fingerprint,
-		CellsComputed: rep.CellsComputed,
-		CellsCached:   rep.CellsCached,
-		Dispatch:      rep,
-	}
-}
-
 func fromSched(rep *sched.Report) *Report {
 	if rep == nil {
 		return nil
 	}
 	return &Report{
-		Backend:       BackendSched,
+		Backend:       BackendPool,
 		Arch:          runtime.GOARCH,
 		Fingerprint:   rep.Fingerprint,
 		CellsComputed: rep.CellsComputed,

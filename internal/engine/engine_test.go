@@ -8,7 +8,10 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strconv"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -22,7 +25,7 @@ import (
 // internal/dispatch and internal/sched tests use. "worker" runs a real
 // shard via dispatch.Worker; with FAIRBENCH_WORKER_DELAY_MS in its
 // environment it pauses first, which is how cancellation tests hold a
-// genuinely live worker open.
+// genuinely live worker open. "fail" is a worker that exits non-zero.
 func TestMain(m *testing.M) {
 	switch os.Getenv("FAIRBENCH_TEST_HELPER") {
 	case "":
@@ -37,6 +40,9 @@ func TestMain(m *testing.M) {
 			os.Exit(1)
 		}
 		os.Exit(0)
+	case "fail":
+		fmt.Fprintln(os.Stderr, "injected worker failure")
+		os.Exit(3)
 	}
 	os.Exit(2)
 }
@@ -103,9 +109,9 @@ func serialReference(t *testing.T, spec experiments.Spec) []byte {
 	return canonical(t, out)
 }
 
-// TestResolveBackend pins the BackendAuto resolution rules: hosts win
-// over a directory, a directory selects dispatch, nothing selects
-// in-process, and an explicit backend always wins.
+// TestResolveBackend pins the BackendAuto resolution rules: hosts or a
+// directory select the pool, nothing selects in-process, and an
+// explicit backend always wins.
 func TestResolveBackend(t *testing.T) {
 	hosts := []sched.Host{{Name: "a"}}
 	cases := []struct {
@@ -113,10 +119,10 @@ func TestResolveBackend(t *testing.T) {
 		want Backend
 	}{
 		{RunOptions{}, BackendInproc},
-		{RunOptions{Dir: "/tmp/x"}, BackendDispatch},
-		{RunOptions{Hosts: hosts}, BackendSched},
-		{RunOptions{Dir: "/tmp/x", Hosts: hosts}, BackendSched},
-		{RunOptions{Backend: BackendDispatch, Hosts: hosts}, BackendDispatch},
+		{RunOptions{Dir: "/tmp/x"}, BackendPool},
+		{RunOptions{Hosts: hosts}, BackendPool},
+		{RunOptions{Dir: "/tmp/x", Hosts: hosts}, BackendPool},
+		{RunOptions{Backend: BackendPool}, BackendPool},
 		{RunOptions{Backend: BackendInproc, Dir: "/tmp/x", Hosts: hosts}, BackendInproc},
 	}
 	for _, c := range cases {
@@ -127,7 +133,8 @@ func TestResolveBackend(t *testing.T) {
 }
 
 // TestBackendsMatchSerial is the engine's core guarantee: one Run call,
-// three backends, all byte-identical to the serial reference.
+// both backends — the pool on its built-in local host and on explicit
+// hosts — all byte-identical to the serial reference.
 func TestBackendsMatchSerial(t *testing.T) {
 	spec := smallSpec()
 	want := serialReference(t, spec)
@@ -152,10 +159,13 @@ func TestBackendsMatchSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(want, canonical(t, out)) {
-		t.Fatal("dispatch output diverges from serial run")
+		t.Fatal("local pool output diverges from serial run")
 	}
-	if rep.Backend != BackendDispatch || rep.Dispatch == nil || rep.CellsComputed != 4 {
-		t.Fatalf("dispatch report %+v", rep)
+	if rep.Backend != BackendPool || rep.Sched == nil || rep.CellsComputed != 4 {
+		t.Fatalf("local pool report %+v", rep)
+	}
+	if len(rep.Sched.Completed["local"]) != len(rep.Sched.Ranges) {
+		t.Fatalf("built-in local host completed %v of %d ranges", rep.Sched.Completed, len(rep.Sched.Ranges))
 	}
 
 	out, rep, err = eng.Run(ctx, spec, RunOptions{
@@ -167,14 +177,14 @@ func TestBackendsMatchSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(want, canonical(t, out)) {
-		t.Fatal("sched output diverges from serial run")
+		t.Fatal("host pool output diverges from serial run")
 	}
-	if rep.Backend != BackendSched || rep.Sched == nil || rep.CellsComputed != 4 {
-		t.Fatalf("sched report %+v", rep)
+	if rep.Backend != BackendPool || rep.Sched == nil || rep.CellsComputed != 4 {
+		t.Fatalf("host pool report %+v", rep)
 	}
 }
 
-// TestCancellationStopsWorkersPromptly: cancel a dispatch-backed run
+// TestCancellationStopsWorkersPromptly: cancel a pool-backed run
 // while delayed workers are genuinely executing; Run must return quickly
 // with an error wrapping context.Canceled, and the directory must resume
 // to the serial answer afterwards.
@@ -211,7 +221,7 @@ func TestCancellationStopsWorkersPromptly(t *testing.T) {
 	if !bytes.Equal(serialReference(t, spec), canonical(t, out)) {
 		t.Fatal("resumed output diverges from serial run")
 	}
-	if rep.Backend != BackendDispatch {
+	if rep.Backend != BackendPool {
 		t.Fatalf("resume report %+v", rep)
 	}
 }
@@ -228,8 +238,9 @@ func TestInprocCancelledBeforeStart(t *testing.T) {
 }
 
 // TestWarmGridSpawnsNothing: once the store holds every cell, a
-// dispatch- or sched-backed Run is answered by the calling process —
-// ServedFromCache set, computed=0, and the spawn counter still zero.
+// pool-backed Run — local or on explicit hosts — is answered by the
+// calling process: ServedFromCache set, computed=0, the spawn counter
+// still zero, and no manifest written.
 func TestWarmGridSpawnsNothing(t *testing.T) {
 	spec := smallSpec()
 	cache := t.TempDir()
@@ -245,14 +256,18 @@ func TestWarmGridSpawnsNothing(t *testing.T) {
 	}
 
 	var spawns atomic.Int64
+	dir := t.TempDir()
 	out, rep, err := eng.Run(context.Background(), spec, RunOptions{
-		Dir: t.TempDir(), Spawn: countingSpawn(&spawns),
+		Dir: dir, Spawn: countingSpawn(&spawns),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.ServedFromCache || rep.CellsComputed != 0 || rep.CellsCached != 4 {
-		t.Fatalf("warm dispatch report %+v", rep)
+	if !rep.ServedFromCache || rep.Backend != BackendPool || rep.CellsComputed != 0 || rep.CellsCached != 4 {
+		t.Fatalf("warm local pool report %+v", rep)
+	}
+	if _, err := os.Stat(filepath.Join(dir, dispatch.ManifestName)); !os.IsNotExist(err) {
+		t.Fatalf("warm run wrote a manifest (stat err %v)", err)
 	}
 	if !bytes.Equal(serialReference(t, spec), canonical(t, out)) {
 		t.Fatal("warm output diverges from serial run")
@@ -269,8 +284,8 @@ func TestWarmGridSpawnsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.ServedFromCache || rep.Backend != BackendSched || rep.CellsComputed != 0 {
-		t.Fatalf("warm sched report %+v", rep)
+	if !rep.ServedFromCache || rep.Backend != BackendPool || rep.CellsComputed != 0 {
+		t.Fatalf("warm host pool report %+v", rep)
 	}
 	if !bytes.Equal(serialReference(t, spec), canonical(t, out)) {
 		t.Fatal("warm sched output diverges from serial run")
@@ -294,7 +309,7 @@ func TestDefaultsInherit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Backend != BackendDispatch || rep.CellsComputed != 4 {
+	if rep.Backend != BackendPool || rep.CellsComputed != 4 {
 		t.Fatalf("report %+v", rep)
 	}
 	if spawns.Load() == 0 {
@@ -302,5 +317,164 @@ func TestDefaultsInherit(t *testing.T) {
 	}
 	if !bytes.Equal(serialReference(t, spec), canonical(t, out)) {
 		t.Fatal("output diverges from serial run")
+	}
+}
+
+// onceFailing is a spawn function whose first attempt at every range
+// exits non-zero and whose later attempts run the real worker. It
+// counts attempts per range.
+type onceFailing struct {
+	mu       sync.Mutex
+	attempts map[int]int
+}
+
+func (f *onceFailing) spawn(manifestPath string, shard int, outPath string) (*exec.Cmd, error) {
+	f.mu.Lock()
+	if f.attempts == nil {
+		f.attempts = map[int]int{}
+	}
+	f.attempts[shard]++
+	first := f.attempts[shard] == 1
+	f.mu.Unlock()
+	if first {
+		cmd := exec.Command(os.Args[0])
+		cmd.Env = append(os.Environ(), "FAIRBENCH_TEST_HELPER=fail")
+		return cmd, nil
+	}
+	return helperSpawn()(manifestPath, shard, outPath)
+}
+
+// TestRetriesCountAttemptsPerRange pins Retries' meaning on the
+// built-in local host: extra attempts per range. With Retries 0 every
+// range gets one attempt, so a failing first attempt leaves the range
+// missing; with Retries 1 each range gets a second attempt and the run
+// completes.
+func TestRetriesCountAttemptsPerRange(t *testing.T) {
+	spec := smallSpec()
+	eng := New(RunOptions{})
+
+	none := &onceFailing{}
+	_, rep, err := eng.Run(context.Background(), spec, RunOptions{
+		Dir: t.TempDir(), Shards: 2, Procs: 1, Retries: 0, Backoff: -1, Spawn: none.spawn,
+	})
+	if err == nil || !strings.Contains(err.Error(), "still missing") ||
+		!strings.Contains(err.Error(), "injected worker failure") {
+		t.Fatalf("Retries 0: want a missing-range error naming the worker failure, got %v", err)
+	}
+	if len(rep.Sched.Ranges) != 2 || len(rep.Sched.Failed) != 2 {
+		t.Fatalf("Retries 0: report %+v", rep.Sched)
+	}
+	for i := range rep.Sched.Ranges {
+		if none.attempts[i] != 1 || rep.Sched.Attempts[i] != 1 {
+			t.Fatalf("Retries 0: range %d spawned %d time(s), report says %d; want one attempt",
+				i, none.attempts[i], rep.Sched.Attempts[i])
+		}
+	}
+
+	one := &onceFailing{}
+	out, rep, err := eng.Run(context.Background(), spec, RunOptions{
+		Dir: t.TempDir(), Shards: 2, Procs: 1, Retries: 1, Backoff: -1, Spawn: one.spawn,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range rep.Sched.Ranges {
+		if one.attempts[i] != 2 || rep.Sched.Attempts[i] != 2 {
+			t.Fatalf("Retries 1: range %d spawned %d time(s), report says %d; want two attempts",
+				i, one.attempts[i], rep.Sched.Attempts[i])
+		}
+	}
+	if !bytes.Equal(serialReference(t, spec), canonical(t, out)) {
+		t.Fatal("retried output diverges from serial run")
+	}
+}
+
+// TestLocalPoolSurvivesHostStrikes: on the built-in one-host pool,
+// separate ranges that each fail once add up to more strikes than the
+// default MaxHostFailures (3). Excluding the only host would fail every
+// range still waiting for its retry; the pool must instead keep the
+// host, retry each range once, and finish byte-identical to serial.
+func TestLocalPoolSurvivesHostStrikes(t *testing.T) {
+	spec := smallSpec()
+	flaky := &onceFailing{}
+	out, rep, err := New(RunOptions{}).Run(context.Background(), spec, RunOptions{
+		Dir: t.TempDir(), Shards: 4, Procs: 2, Retries: 1, Spawn: flaky.spawn,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(rep.Sched.Ranges); n < 4 {
+		t.Fatalf("plan has %d ranges, want at least 4 (more than the strike budget)", n)
+	}
+	if len(rep.Sched.Excluded) != 0 {
+		t.Fatalf("the only host was excluded: %v", rep.Sched.Excluded)
+	}
+	for i := range rep.Sched.Ranges {
+		if flaky.attempts[i] != 2 {
+			t.Fatalf("range %d spawned %d time(s), want 2", i, flaky.attempts[i])
+		}
+	}
+	if !bytes.Equal(serialReference(t, spec), canonical(t, out)) {
+		t.Fatal("output after per-range failures diverges from serial run")
+	}
+}
+
+// TestResumeParentDispatchLayout: a run directory left by the
+// dispatcher that predates range plans — a manifest with no Ranges and
+// some part files cut on the uniform split — resumes through the one
+// path, reusing its parts, byte-identical to serial. A fresh Run into
+// the same directory adopts it the same way. Serve state directories
+// that outlive an upgrade take exactly this path.
+func TestResumeParentDispatchLayout(t *testing.T) {
+	spec := experiments.Spec{Experiment: "fig7", Dataset: "german", N: 150, Seed: 5}
+	ns, err := spec.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := experiments.Open(ns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, err := g.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	m := &dispatch.Manifest{Version: dispatch.ManifestVersion, Spec: ns, Shards: 3, Fingerprint: fp}
+	manifestPath := filepath.Join(dir, dispatch.ManifestName)
+	if err := m.Write(manifestPath); err != nil {
+		t.Fatal(err)
+	}
+	if err := dispatch.Worker(manifestPath, 0, filepath.Join(dir, dispatch.PartName(0))); err != nil {
+		t.Fatal(err)
+	}
+	uniform, err := experiments.PlanShards(ns, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	eng := New(RunOptions{Procs: 2, Spawn: helperSpawn()})
+	out, rep, err := eng.ResumeRun(context.Background(), dir, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := serialReference(t, spec)
+	if !bytes.Equal(want, canonical(t, out)) {
+		t.Fatal("resumed parent-layout directory diverges from serial run")
+	}
+	s := rep.Sched
+	if fmt.Sprint(s.Ranges) != fmt.Sprint(uniform) {
+		t.Fatalf("resumed on ranges %v, want the uniform split %v", s.Ranges, uniform)
+	}
+	if fmt.Sprint(s.Reused) != "[0]" || fmt.Sprint(s.Completed["local"]) != "[1 2]" {
+		t.Fatalf("reused %v, completed %v; want part 0 reused and 1, 2 run", s.Reused, s.Completed)
+	}
+
+	out, rep, err = eng.Run(context.Background(), spec, RunOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want, canonical(t, out)) || len(rep.Sched.Reused) != 3 || rep.Sched.CellsComputed != rep.CellsComputed {
+		t.Fatalf("re-run into the parent-layout directory: report %+v", rep.Sched)
 	}
 }

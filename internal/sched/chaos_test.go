@@ -21,7 +21,7 @@ import (
 )
 
 // TestMain doubles as the worker subprocess body, the same re-exec
-// pattern internal/dispatch's tests use. "worker" runs a real shard via
+// pattern the engine's tests use. "worker" runs a real shard via
 // dispatch.Worker; "workerio" is the remote-transport protocol (manifest
 // on stdin, envelope on stdout); "killself" SIGKILLs itself immediately —
 // a genuinely killed host process, with no killer goroutine to race.
@@ -58,8 +58,7 @@ func TestMain(m *testing.M) {
 }
 
 // helperSpawn re-execs this test binary in the given helper mode; it has
-// dispatch.SpawnFunc's shape, so it drives both LocalExec and
-// dispatch.Resume.
+// dispatch.SpawnFunc's shape, so it plugs into LocalExec.
 func helperSpawn(mode string) dispatch.SpawnFunc {
 	return func(manifestPath string, shard int, outPath string) (*exec.Cmd, error) {
 		cmd := exec.Command(os.Args[0])
@@ -756,8 +755,10 @@ func (failTransport) Run(_ context.Context, _ Host, _ Assignment, _ func()) erro
 }
 
 // TestSchedFailureResumableByDispatch: when the whole pool is dead the
-// run must fail naming the missing ranges and leave a directory that
-// internal/dispatch can finish — the two schedulers share one protocol.
+// run must fail naming the missing ranges and why, and leave a
+// directory that the engine's local pool — one host named "local", the
+// shape `fairbench dispatch` and `fairbench resume` run on — can finish
+// through Resume, the one resume path.
 func TestSchedFailureResumableByDispatch(t *testing.T) {
 	spec := smallSpec()
 	want := serialReference(t, spec)
@@ -775,27 +776,30 @@ func TestSchedFailureResumableByDispatch(t *testing.T) {
 	if len(rep.Failed) != 2 {
 		t.Fatalf("failed ranges %v, want both", rep.Failed)
 	}
-	for _, word := range []string{"still missing", "resume"} {
+	for _, word := range []string{"still missing", "resume", "injected transport failure"} {
 		if !bytes.Contains([]byte(err.Error()), []byte(word)) {
 			t.Fatalf("error %q lacks %q", err, word)
 		}
 	}
 
-	// dispatch.Resume reads the sched manifest — including its explicit
-	// range plan — and completes the run.
-	out, drep, err := dispatch.Resume(dir, dispatch.Options{Procs: 2, Spawn: helperSpawn("worker")})
+	// The local pool reads the manifest — including its explicit range
+	// plan — and completes the run.
+	out, lrep, err := Resume(dir, Options{
+		Hosts:      []Host{{Name: "local", Slots: 2}},
+		Transports: map[string]Transport{"local": workerTransport()},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(want, canonical(t, out)) {
-		t.Fatal("dispatch-resumed sched directory diverges from serial run")
+		t.Fatal("locally resumed sched directory diverges from serial run")
 	}
-	if len(drep.Ran) != 2 {
-		t.Fatalf("dispatch resume ran %v, want both ranges", drep.Ran)
+	if len(lrep.Completed["local"]) != 2 {
+		t.Fatalf("local resume completed %v, want both ranges", lrep.Completed)
 	}
 
 	// And sched itself resumes a partially-completed directory: rerunning
-	// with a healthy pool reuses the dispatch-produced envelopes whole.
+	// with a healthy pool reuses the locally produced envelopes whole.
 	out2, rep2, err := Run(spec, Options{
 		Dir:        dir,
 		Shards:     2,

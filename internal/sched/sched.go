@@ -1,13 +1,14 @@
-// Package sched schedules one experiment grid across a pool of hosts:
-// the multi-host layer above internal/dispatch's single-machine
-// coordinator. It reuses the dispatch directory protocol wholesale — the
-// same manifest.json (now carrying an explicit range plan), the same
-// fingerprinted part-NNN.json envelopes, the same acceptance gate
-// (dispatch.ValidatePart) — so a sched directory is resumable by either
-// scheduler and its merged output is byte-identical (timing aside) to a
-// serial run of the same spec.
+// Package sched schedules one experiment grid across a pool of hosts.
+// It is the engine's one subprocess pool: a single-machine run is a
+// pool of one local host, a fleet is a pool of many. It speaks
+// internal/dispatch's wire protocol — manifest.json (carrying an
+// explicit range plan), fingerprinted part-NNN.json envelopes, and the
+// acceptance gate dispatch.ValidatePart — so every run directory is
+// resumable, including ones whose manifest predates range plans, and
+// the merged output is byte-identical (timing aside) to a serial run of
+// the same spec.
 //
-// What sched adds over dispatch:
+// What it provides:
 //
 //   - pluggable transports: work reaches a host through the Transport
 //     interface — LocalExec re-execs this binary's worker subcommand,
@@ -43,12 +44,14 @@
 //	range far past median      speculative duplicate on an idle host; first valid
 //	                           part accepted exactly once, loser cancelled unstruck
 //	host keeps failing         excluded after MaxHostFailures; its ranges move on
+//	                           (never the last live host, unless LocalFallback)
 //	host leaves (PoolSource)   no new work; in-flight drains; queue replans around it
 //	host joins (PoolSource)    eligible at the next scheduling round
 //	every host failed a range  exclusions reset, next round (up to Retries rounds)
 //	whole pool lost            LocalFallback: coordinator computes the rest
 //	                           in-process, run completes Degraded; else fail resumable
-//	ranges still missing       error names them; the directory stays resumable
+//	ranges still missing       error names them with each one's last failure;
+//	                           the directory stays resumable
 //
 // Every path converges to the same merged bytes or fails resumably;
 // nothing is ever merged around. Chaos-test these paths through
@@ -79,8 +82,8 @@ import (
 
 // Options configures one scheduled run.
 type Options struct {
-	// Dir is the sched directory (created if missing): a dispatch-layer
-	// directory holding manifest.json and part files. Required.
+	// Dir is the run directory (created if missing) holding
+	// manifest.json and part files. Required.
 	Dir string
 	// Hosts is the execution pool. Empty defaults to one local host
 	// whose slot count is the runner parallelism.
@@ -102,14 +105,17 @@ type Options struct {
 	// without a transport heartbeat before its host is declared dead
 	// and the range reassigned. Default 60s.
 	HeartbeatTimeout time.Duration
-	// Retries is how many times a range's per-host exclusions are reset
-	// after every live host has failed it — full extra rounds over the
-	// pool, not per-host attempts. Default 1; negative means no extra
-	// rounds (a range every live host has failed once fails for good).
+	// Retries is how many extra attempts a failing range gets on each
+	// host: 0 means every live host tries it at most once — one attempt
+	// in all on a one-host pool. Moving a failed range to a host that
+	// has not failed it yet is not a retry; once every live host has
+	// failed it, each retry is one more round over them. Negative
+	// counts as 0.
 	Retries int
 	// MaxHostFailures is the per-host failure budget: how many failed
 	// attempts a host may accumulate before it is excluded from the
-	// pool for the rest of the run. Default 3.
+	// pool for the rest of the run. Default 3. The last live host is
+	// never excluded this way unless LocalFallback can take its work.
 	MaxHostFailures int
 	// Speculate enables speculative execution: a range whose attempt
 	// has run longer than SpeculateFactor× the median completed-range
@@ -249,7 +255,7 @@ type Report struct {
 // to a serial run. An existing directory for the same grid is resumed:
 // valid envelopes are reused and only missing ranges execute. On failure
 // the error names the ranges still missing and the directory remains
-// resumable — by Run, Resume, or dispatch.Resume.
+// resumable — by Run or Resume.
 func Run(spec experiments.Spec, opts Options) (*experiments.Output, *Report, error) {
 	return RunContext(context.Background(), spec, opts)
 }
@@ -405,9 +411,10 @@ func run(ctx context.Context, ns experiments.Spec, opts Options, resuming bool) 
 
 	// Schedule: place work ranges on hosts until everything is delivered
 	// or nothing eligible remains. The pool comes back because joins may
-	// have grown it mid-run.
+	// have grown it mid-run, with the last error of each failed range.
+	var lastErr map[int]error
 	if len(work) > 0 {
-		pool = schedule(ctx, pool, transports, work, m, manifestPath, manifestBytes, opts, rep, logf)
+		pool, lastErr = schedule(ctx, pool, transports, work, m, manifestPath, manifestBytes, opts, rep, logf)
 	}
 	for name := range rep.Completed {
 		sort.Ints(rep.Completed[name])
@@ -441,9 +448,12 @@ func run(ctx context.Context, ns experiments.Spec, opts Options, resuming bool) 
 	}
 	if len(rep.Failed) > 0 {
 		sort.Ints(rep.Failed)
-		var idxs []string
+		var idxs, msgs []string
 		for _, i := range rep.Failed {
 			idxs = append(idxs, strconv.Itoa(i))
+			if err := lastErr[i]; err != nil {
+				msgs = append(msgs, fmt.Sprintf("\nrange %d: %v", i, err))
+			}
 		}
 		// A cancelled run reports the cancellation itself (errors.Is-able)
 		// rather than a scheduling failure it never had.
@@ -451,8 +461,8 @@ func run(ctx context.Context, ns experiments.Spec, opts Options, resuming bool) 
 			return nil, rep, fmt.Errorf("sched: cancelled with range(s) %s still missing — %d of %d range(s) completed; re-run sched with the same -dir to pick up: %w",
 				strings.Join(idxs, ", "), len(ranges)-len(rep.Failed), len(ranges), err)
 		}
-		return nil, rep, fmt.Errorf("sched: range(s) %s still missing — %d of %d range(s) completed; re-run sched with the same -dir (or `fairbench resume -dir %s`) to pick up from them",
-			strings.Join(idxs, ", "), len(ranges)-len(rep.Failed), len(ranges), opts.Dir)
+		return nil, rep, fmt.Errorf("sched: range(s) %s still missing — %d of %d range(s) completed; re-run sched with the same -dir (or `fairbench resume -dir %s`) to pick up from them%s",
+			strings.Join(idxs, ", "), len(ranges)-len(rep.Failed), len(ranges), opts.Dir, strings.Join(msgs, ""))
 	}
 
 	// Merge: every part re-reads through the named path so residual
@@ -513,11 +523,7 @@ func buildPool(opts *Options) ([]*hostState, map[string]Transport, error) {
 	if opts.HeartbeatTimeout <= 0 {
 		opts.HeartbeatTimeout = 60 * time.Second
 	}
-	if opts.Retries < 0 {
-		opts.Retries = 0
-	} else if opts.Retries == 0 {
-		opts.Retries = 1
-	}
+	opts.Retries = max(opts.Retries, 0)
 	if opts.MaxHostFailures <= 0 {
 		opts.MaxHostFailures = 3
 	}
@@ -643,7 +649,7 @@ func prepare(ns experiments.Spec, opts *Options, st store.Backend, resuming bool
 		}
 		ranges := existing.Ranges
 		if len(ranges) == 0 {
-			// A plain dispatch manifest: its workers used the uniform
+			// A manifest without a plan: its workers used the uniform
 			// aligned split, so the scheduler must too.
 			if ranges, err = experiments.PlanShards(existing.Spec, existing.Shards); err != nil {
 				return fail(err)
@@ -739,10 +745,11 @@ type doneEvent struct {
 // The loop returns only once every launched transport goroutine has
 // reported — abandoned attempts (heartbeat lapses, speculation losers)
 // are cancelled and then reaped, never leaked past the run. It returns
-// the final pool, which joins may have grown mid-run.
+// the final pool, which joins may have grown mid-run, and the last
+// error of every range in rep.Failed.
 func schedule(ctx context.Context, pool []*hostState, transports map[string]Transport, work []int,
 	m *dispatch.Manifest, manifestPath string, manifestBytes []byte, opts Options, rep *Report,
-	logf func(string, ...any)) []*hostState {
+	logf func(string, ...any)) ([]*hostState, map[int]error) {
 	queue := make([]*rangeState, len(work))
 	for i, idx := range work {
 		queue[i] = &rangeState{idx: idx, excluded: map[string]bool{}}
@@ -829,12 +836,22 @@ func schedule(ctx context.Context, pool []*hostState, transports map[string]Tran
 		j := rng.Derive(m.Spec.Seed, int64(pr.idx)<<20+int64(pr.attempts)).Float64()
 		return time.Now().Add(time.Duration(float64(d) * (0.5 + j)))
 	}
+	lastErr := map[int]error{}
 	finalFail := func(pr *rangeState) {
 		if !pr.failed {
 			pr.failed = true
 			rep.Failed = append(rep.Failed, pr.idx)
 			rep.Attempts[pr.idx] = pr.attempts
+			lastErr[pr.idx] = pr.lastErr
 		}
+	}
+	liveOther := func(hs *hostState) bool {
+		for _, o := range pool {
+			if o != hs && live(o) {
+				return true
+			}
+		}
+		return false
 	}
 	fail := func(hs *hostState, pr *rangeState, err error) {
 		hs.failures++
@@ -842,7 +859,11 @@ func schedule(ctx context.Context, pool []*hostState, transports map[string]Tran
 		pr.lastErr = err
 		logf("sched: host %s: range %d failed: %v", hs.Name, pr.idx, err)
 		emit(Event{Type: EventFailed, Host: hs.Name, Range: pr.idx, Err: err.Error()})
-		if hs.failures >= opts.MaxHostFailures && !hs.excluded {
+		// Strikes exclude a host so its work moves elsewhere. Excluding
+		// the last live host moves nothing — it would only turn the
+		// remaining ranges' retries into failures — unless the local
+		// fallback is there to take that work over.
+		if hs.failures >= opts.MaxHostFailures && !hs.excluded && (opts.LocalFallback || liveOther(hs)) {
 			hs.excluded = true
 			rep.Excluded = append(rep.Excluded, hs.Name)
 			logf("sched: excluding host %s after %d failure(s); reassigning its work to survivors", hs.Name, hs.failures)
@@ -1040,7 +1061,7 @@ func schedule(ctx context.Context, pool []*hostState, transports map[string]Tran
 			for _, pr := range queue {
 				finalFail(pr)
 			}
-			return pool
+			return pool, lastErr
 		}
 		if !earliest.IsZero() {
 			d := time.Until(earliest)
@@ -1079,7 +1100,7 @@ func schedule(ctx context.Context, pool []*hostState, transports map[string]Tran
 						finalFail(pr)
 						break
 					}
-					fail(hs, pr, fmt.Errorf("host %s produced an invalid part: %w", hs.Name, aerr))
+					fail(hs, pr, fmt.Errorf("host %s: worker exited 0 but %w", hs.Name, aerr))
 					break
 				}
 				pr.done = true

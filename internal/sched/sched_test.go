@@ -72,10 +72,10 @@ func TestBuildPoolValidation(t *testing.T) {
 	if pool[0].Slots != 1 || pool[1].Slots != 3 || opts.Shards != 4 {
 		t.Fatalf("pool %+v shards %d", pool, opts.Shards)
 	}
-	if opts.HeartbeatTimeout <= 0 || opts.Retries != 1 || opts.MaxHostFailures != 3 {
+	if opts.HeartbeatTimeout <= 0 || opts.Retries != 0 || opts.MaxHostFailures != 3 {
 		t.Fatalf("defaults %+v", opts)
 	}
-	// A negative retry budget means zero extra rounds.
+	// A negative retry budget counts as zero: one attempt per range.
 	neg := &Options{Retries: -5}
 	if _, _, err := buildPool(neg); err != nil || neg.Retries != 0 {
 		t.Fatalf("negative retries: %v %d", err, neg.Retries)

@@ -80,8 +80,9 @@ type Config struct {
 	// Parallelism sizes each run's single-process worker pool (see
 	// engine.RunOptions.Parallelism); zero means one worker per CPU.
 	Parallelism int
-	// Hosts, when non-empty, makes runs execute on the sched backend
-	// across this pool; otherwise runs use subprocess dispatch.
+	// Hosts, when non-empty, is the pool every run executes on;
+	// otherwise runs use the engine's built-in local host with Procs
+	// slots.
 	Hosts []sched.Host
 	// HeartbeatTimeout and MaxHostFailures tune sched failure handling.
 	HeartbeatTimeout time.Duration
@@ -90,8 +91,8 @@ type Config struct {
 	Speculate bool
 	// Backoff is sched's retry backoff base (negative disables).
 	Backoff time.Duration
-	// LocalFallback lets sched runs complete in-process (Degraded) when
-	// the whole pool is lost.
+	// LocalFallback lets runs complete in-process (Degraded) when the
+	// whole pool is lost.
 	LocalFallback bool
 	// Transports overlays sched's transport registry (tests).
 	Transports map[string]sched.Transport

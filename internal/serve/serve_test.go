@@ -190,7 +190,7 @@ func TestSubmitPollTable(t *testing.T) {
 	}
 	if done.Status != string(stateDone) || done.CellsComputed != 4 ||
 		done.PartsDone != 2 || done.PartsTotal != 2 ||
-		done.Backend != "dispatch" || done.Fingerprint == "" {
+		done.Backend != "pool" || done.Fingerprint == "" {
 		t.Fatalf("final status %+v", done)
 	}
 
