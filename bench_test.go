@@ -1,6 +1,7 @@
 package fairbench
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -12,7 +13,6 @@ import (
 	"fairbench/internal/preproc"
 	"fairbench/internal/registry"
 	"fairbench/internal/rng"
-	"fairbench/internal/runner"
 	"fairbench/internal/store"
 	"fairbench/internal/synth"
 )
@@ -27,18 +27,32 @@ const (
 
 // ---- Figure 7: correctness & fairness, one bench per dataset ----
 
-func benchFig7(b *testing.B, src *synth.Source) {
+// benchGrid runs the spec's whole grid in process per iteration on a
+// pool of workers goroutines (0: one per CPU). Opening is inside the
+// loop, as each figure command opens its grid; the dataset itself is
+// synthesized once per process (Open memoizes it), so the loop times
+// splitting, fitting, and metrics.
+func benchGrid(b *testing.B, spec experiments.Spec, workers int) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.CorrectnessFairness(src, 1); err != nil {
+		g, err := experiments.Open(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		g.SetWorkers(workers)
+		if _, err := g.RunAll(); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkFig7_Adult(b *testing.B)  { benchFig7(b, synth.Adult(benchAdultN, 1)) }
-func BenchmarkFig7_COMPAS(b *testing.B) { benchFig7(b, synth.COMPAS(benchCompasN, 1)) }
-func BenchmarkFig7_German(b *testing.B) { benchFig7(b, synth.German(benchGermanN, 1)) }
+func benchFig7(b *testing.B, dataset string, n int) {
+	benchGrid(b, experiments.Spec{Experiment: "fig7", Dataset: dataset, N: n, Seed: 1}, 0)
+}
+
+func BenchmarkFig7_Adult(b *testing.B)  { benchFig7(b, "adult", benchAdultN) }
+func BenchmarkFig7_COMPAS(b *testing.B) { benchFig7(b, "compas", benchCompasN) }
+func BenchmarkFig7_German(b *testing.B) { benchFig7(b, "german", benchGermanN) }
 
 // ---- Runner: serial vs parallel evalAll (the perf-trajectory pair) ----
 //
@@ -47,16 +61,7 @@ func BenchmarkFig7_German(b *testing.B) { benchFig7(b, synth.German(benchGermanN
 // BENCH_parallel.json.
 
 func benchEvalAllWorkers(b *testing.B, workers int) {
-	src := synth.COMPAS(benchCompasN, 1)
-	runner.SetParallelism(workers)
-	defer runner.SetParallelism(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.CorrectnessFairness(src, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchGrid(b, experiments.Spec{Experiment: "fig7", Dataset: "compas", N: benchCompasN, Seed: 1}, workers)
 }
 
 func BenchmarkEvalAllSerial(b *testing.B)   { benchEvalAllWorkers(b, 1) }
@@ -65,23 +70,13 @@ func BenchmarkEvalAllParallel(b *testing.B) { benchEvalAllWorkers(b, 0) }
 // ---- Figure 8: efficiency & scalability sweeps ----
 
 func BenchmarkFig8_Rows(b *testing.B) {
-	src := synth.Adult(4000, 1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.ScalabilityRows(src, []int{500, 1000, 2000}, registry.Names, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchGrid(b, experiments.Spec{Experiment: "fig8rows", Dataset: "adult", N: 4000, Seed: 1,
+		Sizes: []int{500, 1000, 2000}}, 0)
 }
 
 func BenchmarkFig8_Attrs(b *testing.B) {
-	src := synth.Adult(3000, 1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.ScalabilityAttrs(src, []int{2, 5, 9}, registry.Names, 2000, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchGrid(b, experiments.Spec{Experiment: "fig8attrs", Dataset: "adult", N: 3000, Seed: 1,
+		AttrCounts: []int{2, 5, 9}, SampleSize: 2000}, 0)
 }
 
 // Per-approach training scaling: the raw series behind Figure 8(a-c).
@@ -110,64 +105,34 @@ func BenchmarkFig8_PerApproach(b *testing.B) {
 // ---- Figure 9: robustness to data errors ----
 
 func BenchmarkFig9_Robustness(b *testing.B) {
-	src := synth.COMPAS(benchCompasN, 1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Robustness(src, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchGrid(b, experiments.Spec{Experiment: "fig9", Dataset: "compas", N: benchCompasN, Seed: 1}, 0)
 }
 
 // ---- Figure 10/21: model sensitivity ----
 
 func BenchmarkFig10_ModelSensitivity(b *testing.B) {
-	src := synth.Adult(benchAdultN, 1)
 	// Three representative approaches x five models keeps iterations short.
-	approaches := []string{"Feld-DP", "KamCal-DP", "KamKar-DP"}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.ModelSensitivity(src, approaches, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchGrid(b, experiments.Spec{Experiment: "fig10", Dataset: "adult", N: benchAdultN, Seed: 1,
+		Names: []string{"Feld-DP", "KamCal-DP", "KamKar-DP"}}, 0)
 }
 
 // ---- Figures 16-18: cross-validation tables ----
 
 func BenchmarkCVTables(b *testing.B) {
-	src := synth.German(benchGermanN, 1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.CrossValidate(src, 5, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchGrid(b, experiments.Spec{Experiment: "cv", Dataset: "german", N: benchGermanN, Seed: 1, K: 5}, 0)
 }
 
 // ---- Figure 22: stability ----
 
 func BenchmarkFig22_Stability(b *testing.B) {
-	src := synth.COMPAS(benchCompasN, 1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Stability(src, 3, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchGrid(b, experiments.Spec{Experiment: "fig22", Dataset: "compas", N: benchCompasN, Seed: 1, Runs: 3}, 0)
 }
 
 // ---- Figure 23: data efficiency ----
 
 func BenchmarkFig23_DataEfficiency(b *testing.B) {
-	src := synth.Adult(benchAdultN, 1)
-	names := []string{"LR", "KamCal-DP", "Hardt-EO", "Pleiss-EOP"}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.DataEfficiency(src, []int{100, 500, 1000}, names, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchGrid(b, experiments.Spec{Experiment: "fig23", Dataset: "adult", N: benchAdultN, Seed: 1,
+		Sizes: []int{100, 500, 1000}, Names: []string{"LR", "KamCal-DP", "Hardt-EO", "Pleiss-EOP"}}, 0)
 }
 
 // ---- Sharding: plan + merge overhead (the BENCH_shard.json pair) ----
@@ -220,15 +185,14 @@ func BenchmarkShardMerge(b *testing.B) {
 
 var benchCacheSpec = GridSpec{Experiment: "fig7", Dataset: "german", N: 300, Seed: 1}
 
-// benchRunShardCached runs one cached shard against an explicit cache
-// directory — what the removed facade wrapper RunShardCached did, spelled
-// out on the internal API the engine path uses.
+// benchRunShardCached runs one whole-grid shard against an explicit
+// cache directory, as the in-process engine backend does.
 func benchRunShardCached(spec GridSpec, dir string) (*ShardEnvelope, error) {
 	s, err := store.Open(dir)
 	if err != nil {
 		return nil, err
 	}
-	return experiments.RunShardCached(spec, 0, 1, s)
+	return experiments.RunShard(context.Background(), spec, 0, 1, s, 0)
 }
 
 func BenchmarkRunShardCold(b *testing.B) {
@@ -323,7 +287,6 @@ func BenchmarkGridCellCold(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		g.SetCache(nil) // always the cold path: every cell computed
 		for c := 0; c < g.Len(); c++ {
 			if _, err := g.Cell(c); err != nil {
 				b.Fatal(err)
@@ -340,7 +303,6 @@ func BenchmarkGridBatchCold(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		g.SetCache(nil) // always the cold path: every cell computed
 		if _, err := g.RunAll(); err != nil {
 			b.Fatal(err)
 		}

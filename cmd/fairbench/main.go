@@ -17,6 +17,12 @@
 //	fairbench serve  -state DIR [-addr HOST:PORT]    benchmark-as-a-service daemon
 //	fairbench worker   -manifest M -shard I -out O   (spawned by dispatch/sched)
 //
+// Every figure command builds the GridSpec its flags describe, runs it on
+// the in-process engine (fairbench.Run), and prints it with the renderer
+// merge, dispatch, sched and the serve daemon use, so all of them print
+// the same tables for the same spec, title lines included. fig9 also
+// runs the clean fig7 grid on the same data to print its Δ tables.
+//
 // -n caps the generated dataset size (0 = the paper's full size); smaller
 // values keep exploratory runs fast. -parallel N sets the experiment
 // worker-pool size (0 = GOMAXPROCS, 1 = serial): metric columns are
@@ -25,11 +31,11 @@
 // concurrency. The pure timing experiment (fig8) always measures with
 // one worker so its overhead curves stay contention-free.
 //
-// -cache DIR (any figure command, dispatch, or -shard run) installs the
-// on-disk result cache: cells already computed for the same grid
-// fingerprint, seed, and architecture are served from disk, so re-runs
-// only compute what is missing while printing byte-identical metric
-// columns.
+// -cache DIR (any figure command, -shard run, dispatch, sched, or serve)
+// names the run's on-disk result cache: cells already computed for the
+// same grid fingerprint, seed, and architecture are served from disk, so
+// re-runs only compute what is missing while printing byte-identical
+// metric columns.
 //
 // -bias MODEL -bias-rate R [-bias-rate-neg R] (any figure command,
 // dispatch, or sched) inject parameterized data bias into the training
@@ -57,10 +63,11 @@
 //	fairbench fig7 -dataset compas -shard 2/3 -out part2.json   # any host
 //	fairbench merge part0.json part1.json part2.json
 //
-// The merged tables are bit-identical (timing columns aside) to the
-// single-process run with the same flags, because the datasets are
-// synthesized from the seed: the (experiment, dataset, n, seed, …) spec
-// embedded in each envelope fully determines every grid cell. merge
+// The merged tables are bit-identical (timing columns aside, titles
+// included) to the single-process run with the same flags, because the
+// datasets are synthesized from the seed: the (experiment, dataset, n,
+// seed, …) spec embedded in each envelope fully determines every grid
+// cell. merge
 // rejects envelopes whose grid fingerprints disagree — naming the
 // offending file — and an incomplete set fails listing the shard
 // indices still missing. Commands that span several datasets (-dataset
@@ -144,9 +151,31 @@ var shardableCommands = map[string]string{
 	"cv": "cv", "fig22": "fig22", "fig23": "fig23",
 }
 
-// parallelism carries the parsed -parallel value into the engine-backed
-// commands as RunOptions.Parallelism (0 = one worker per CPU).
-var parallelism int
+// allFigures is what `fairbench all` prints, in order.
+var allFigures = []string{"fig7", "fig8", "fig9", "fig10", "cv", "fig22", "fig23"}
+
+// flags holds every parsed command-line flag; each command reads the
+// ones it uses.
+type flags struct {
+	dataset, approach      string
+	n, k, runs             int
+	seed                   int64
+	parallel               int
+	shard, out, grid       string
+	cache, remoteStore     string
+	bias                   biasSpec
+	exp, dir               string
+	shards, procs, retries int
+	manifest, hosts        string
+	heartbeat              time.Duration
+	maxHostFailures        int
+	speculate              bool
+	backoff, watchHosts    time.Duration
+	localFallback          bool
+	addr, state            string
+	maxRuns                int
+	cpuProfile, memProfile string
+}
 
 func main() {
 	if len(os.Args) < 2 {
@@ -155,151 +184,91 @@ func main() {
 	}
 	cmd := os.Args[1]
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
-	datasetFlag := fs.String("dataset", "all", "adult|compas|german|all")
-	approachFlag := fs.String("approach", "", "approach name for eval (see list)")
-	nFlag := fs.Int("n", 0, "dataset size cap (0 = paper size)")
-	kFlag := fs.Int("k", 5, "cross-validation folds")
-	runsFlag := fs.Int("runs", 10, "stability runs")
-	seedFlag := fs.Int64("seed", 1, "global seed")
-	parallelFlag := fs.Int("parallel", 0, "experiment worker goroutines (0 = GOMAXPROCS; 1 = serial, for contention-free timing)")
-	shardFlag := fs.String("shard", "", "run one shard i/K (0-based) of the command's job grid and emit a JSON envelope instead of tables")
-	outFlag := fs.String("out", "", "file for the -shard envelope or the merged-output JSON (default: envelope to stdout; merge prints tables only)")
-	gridFlag := fs.String("grid", "rows", "which fig8 grid to shard: rows|attrs")
-	cacheFlag := fs.String("cache", "", "result-cache directory: serve already-computed cells from disk, write fresh ones back")
-	remoteStoreFlag := fs.String("remote-store", "", "shared result-store base URL (a fairbench cachesrv or serve daemon's /cache): read-through behind -cache, every entry verified before use")
-	biasFlag := fs.String("bias", "", "bias-injection model applied to the training data: under|label (default: clean data)")
-	biasRateFlag := fs.Float64("bias-rate", 0, "bias rate: under-representation's positive-label drop rate β⁺, or label bias's flip rate ν")
-	biasRateNegFlag := fs.Float64("bias-rate-neg", 0, "under-representation's negative-label drop rate β⁻")
-	expFlag := fs.String("exp", "", "dispatch/sched: grid experiment name (fig7|fig9|fig10|fig15|cv|fig22|fig23|fig8rows|fig8attrs)")
-	dirFlag := fs.String("dir", "", "dispatch/sched/resume: run directory holding the manifest and part files")
-	shardsFlag := fs.Int("shards", 0, "dispatch/sched/serve: targeted number of work ranges (default: the pool's total slots)")
-	procsFlag := fs.Int("procs", 0, "dispatch/sched/resume/serve: slots of the built-in local host used without -hosts, i.e. worker subprocesses at once (default: -parallel, else GOMAXPROCS)")
-	retriesFlag := fs.Int("retries", 1, "dispatch/sched/resume/serve: extra attempts a failing range gets on each host (0 = one attempt per host)")
-	manifestFlag := fs.String("manifest", "", "worker: manifest file of the run directory (- reads it from stdin)")
-	hostsFlag := fs.String("hosts", "", "sched: hosts.json pool definition (default: one local host with -procs slots)")
-	heartbeatFlag := fs.Duration("heartbeat", 60*time.Second, "sched: declare a host dead after this long without a transport heartbeat")
-	maxHostFailFlag := fs.Int("max-host-failures", 3, "sched: exclude a host after this many failed attempts")
-	speculateFlag := fs.Bool("speculate", false, "sched: re-launch straggling ranges on idle hosts; first valid part wins")
-	backoffFlag := fs.Duration("backoff", 0, "sched: base delay before retrying a failed range, doubling per attempt with jitter (0 = 100ms default, negative = retry immediately)")
-	watchHostsFlag := fs.Duration("watch-hosts", 0, "sched: re-read -hosts at this interval; added hosts join mid-run, removed hosts drain (0 = off)")
-	localFallbackFlag := fs.Bool("local-fallback", true, "sched: when every host is lost, finish the remaining ranges in-process (report marks the run degraded)")
-	addrFlag := fs.String("addr", "127.0.0.1:8080", "serve: HTTP listen address")
-	stateFlag := fs.String("state", "", "serve: state directory (one resumable run directory per grid)")
-	maxRunsFlag := fs.Int("max-runs", 1, "serve: concurrently executing runs before submissions get 429")
-	cpuProfFlag := fs.String("cpuprofile", "", "write a CPU profile of this command to the file (inspect with go tool pprof)")
-	memProfFlag := fs.String("memprofile", "", "write an allocation profile of this command to the file (inspect with go tool pprof)")
+	var f flags
+	fs.StringVar(&f.dataset, "dataset", "all", "adult|compas|german|all")
+	fs.StringVar(&f.approach, "approach", "", "approach name for eval (see list)")
+	fs.IntVar(&f.n, "n", 0, "dataset size cap (0 = paper size)")
+	fs.IntVar(&f.k, "k", 5, "cross-validation folds")
+	fs.IntVar(&f.runs, "runs", 10, "stability runs")
+	fs.Int64Var(&f.seed, "seed", 1, "global seed")
+	fs.IntVar(&f.parallel, "parallel", 0, "experiment worker goroutines (0 = GOMAXPROCS; 1 = serial, for contention-free timing)")
+	fs.StringVar(&f.shard, "shard", "", "run one shard i/K (0-based) of the command's job grid and emit a JSON envelope instead of tables")
+	fs.StringVar(&f.out, "out", "", "file for the -shard envelope or the merged-output JSON (default: envelope to stdout; merge prints tables only)")
+	fs.StringVar(&f.grid, "grid", "rows", "which fig8 grid to shard: rows|attrs")
+	fs.StringVar(&f.cache, "cache", "", "result-cache directory: serve already-computed cells from disk, write fresh ones back")
+	fs.StringVar(&f.remoteStore, "remote-store", "", "shared result-store base URL (a fairbench cachesrv or serve daemon's /cache): read-through behind -cache, every entry verified before use")
+	fs.StringVar(&f.bias.model, "bias", "", "bias-injection model applied to the training data: under|label (default: clean data)")
+	fs.Float64Var(&f.bias.rate, "bias-rate", 0, "bias rate: under-representation's positive-label drop rate β⁺, or label bias's flip rate ν")
+	fs.Float64Var(&f.bias.rateNeg, "bias-rate-neg", 0, "under-representation's negative-label drop rate β⁻")
+	fs.StringVar(&f.exp, "exp", "", "dispatch/sched: grid experiment name (fig7|fig9|fig10|fig15|cv|fig22|fig23|fig8rows|fig8attrs)")
+	fs.StringVar(&f.dir, "dir", "", "dispatch/sched/resume: run directory holding the manifest and part files")
+	fs.IntVar(&f.shards, "shards", 0, "dispatch/sched/serve: targeted number of work ranges (default: the pool's total slots)")
+	fs.IntVar(&f.procs, "procs", 0, "dispatch/sched/resume/serve: slots of the built-in local host used without -hosts, i.e. worker subprocesses at once (default: -parallel, else GOMAXPROCS)")
+	fs.IntVar(&f.retries, "retries", 1, "dispatch/sched/resume/serve: extra attempts a failing range gets on each host (0 = one attempt per host)")
+	fs.StringVar(&f.manifest, "manifest", "", "worker: manifest file of the run directory (- reads it from stdin)")
+	fs.StringVar(&f.hosts, "hosts", "", "sched: hosts.json pool definition (default: one local host with -procs slots)")
+	fs.DurationVar(&f.heartbeat, "heartbeat", 60*time.Second, "sched: declare a host dead after this long without a transport heartbeat")
+	fs.IntVar(&f.maxHostFailures, "max-host-failures", 3, "sched: exclude a host after this many failed attempts")
+	fs.BoolVar(&f.speculate, "speculate", false, "sched: re-launch straggling ranges on idle hosts; first valid part wins")
+	fs.DurationVar(&f.backoff, "backoff", 0, "sched: base delay before retrying a failed range, doubling per attempt with jitter (0 = 100ms default, negative = retry immediately)")
+	fs.DurationVar(&f.watchHosts, "watch-hosts", 0, "sched: re-read -hosts at this interval; added hosts join mid-run, removed hosts drain (0 = off)")
+	fs.BoolVar(&f.localFallback, "local-fallback", true, "sched: when every host is lost, finish the remaining ranges in-process (report marks the run degraded)")
+	fs.StringVar(&f.addr, "addr", "127.0.0.1:8080", "serve: HTTP listen address")
+	fs.StringVar(&f.state, "state", "", "serve: state directory (one resumable run directory per grid)")
+	fs.IntVar(&f.maxRuns, "max-runs", 1, "serve: concurrently executing runs before submissions get 429")
+	fs.StringVar(&f.cpuProfile, "cpuprofile", "", "write a CPU profile of this command to the file (inspect with go tool pprof)")
+	fs.StringVar(&f.memProfile, "memprofile", "", "write an allocation profile of this command to the file (inspect with go tool pprof)")
 	fs.Parse(os.Args[2:])
-	// -parallel feeds both pool knobs: RunOptions.Parallelism for the
-	// engine-backed commands, and the deprecated process-global default
-	// for the Source-based commands that predate the options struct.
-	parallelism = *parallelFlag
-	fairbench.SetParallelism(*parallelFlag)
-	if *cacheFlag != "" || *remoteStoreFlag != "" {
-		exitIf(fairbench.CacheRemote(*cacheFlag, *remoteStoreFlag))
+	exitIf(startProfiles(f.cpuProfile, f.memProfile))
+	if f.bias.set() {
+		switch cmd {
+		case "list", "eval", "merge", "resume", "all":
+			exit(fmt.Errorf("-bias/-bias-rate/-bias-rate-neg apply to figure, dispatch, and sched commands, not %q", cmd))
+		}
 	}
-	exitIf(startProfiles(*cpuProfFlag, *memProfFlag))
-	bias := biasSpec{model: *biasFlag, rate: *biasRateFlag, rateNeg: *biasRateNegFlag}
 
-	if cmd == "worker" {
+	switch cmd {
+	case "worker":
 		// dispatch spawns `worker -shard I`: here -shard is the bare shard
 		// index, not the figure commands' i/K form.
-		idx, err := strconv.Atoi(*shardFlag)
+		idx, err := strconv.Atoi(f.shard)
 		if err != nil {
-			exit(fmt.Errorf("worker needs -shard <index>, got %q", *shardFlag))
+			exit(fmt.Errorf("worker needs -shard <index>, got %q", f.shard))
 		}
-		exit(cmdWorker(*manifestFlag, idx, *outFlag))
-	}
-
-	if cmd == "sched" || cmd == "dispatch" {
-		exit(cmdSched(cmd, *expFlag, *datasetFlag, *nFlag, *kFlag, *runsFlag, *seedFlag, bias,
-			*dirFlag, *cacheFlag, *remoteStoreFlag, *hostsFlag, *shardsFlag, *procsFlag, *retriesFlag,
-			*maxHostFailFlag, *heartbeatFlag, *speculateFlag, *backoffFlag,
-			*watchHostsFlag, *localFallbackFlag, *outFlag))
-	}
-
-	if cmd == "serve" {
-		exit(cmdServe(*addrFlag, *stateFlag, *cacheFlag, *remoteStoreFlag, *hostsFlag,
-			*shardsFlag, *procsFlag, *retriesFlag, *maxRunsFlag,
-			*maxHostFailFlag, *heartbeatFlag, *speculateFlag, *backoffFlag,
-			*localFallbackFlag))
-	}
-
-	if cmd == "cachesrv" {
-		exit(cmdCacheSrv(*addrFlag, *dirFlag))
-	}
-
-	if cmd == "fingerprint" {
-		exit(cmdFingerprint(*expFlag, *datasetFlag, *nFlag, *kFlag, *runsFlag, *seedFlag, bias))
-	}
-
-	if *shardFlag != "" {
-		spec, err := specFor(cmd, *datasetFlag, *nFlag, *kFlag, *runsFlag, *gridFlag, *seedFlag, bias)
-		if err == nil {
-			// A -cache directory, if given, is already installed process-wide,
-			// so RunShard serves verified hits and records provenance.
-			err = cmdShard(spec, *shardFlag, *outFlag)
-		}
-		exit(err)
-	}
-
-	if bias.set() {
-		// Bias injection is a grid dimension, so a biased serial figure run
-		// routes through the same spec→engine path the dispatch/sched/serve
-		// commands use — its tables (titles included) are then byte-identical
-		// to the merged shards of the same spec.
-		if _, ok := shardableCommands[cmd]; ok || cmd == "fig8" {
-			exit(cmdBiasedFigure(cmd, *datasetFlag, *nFlag, *kFlag, *runsFlag, *gridFlag,
-				*seedFlag, bias, *outFlag))
-		}
-		exit(fmt.Errorf("-bias/-bias-rate/-bias-rate-neg apply to figure, dispatch, and sched commands, not %q", cmd))
-	}
-
-	var err error
-	switch cmd {
+		exit(cmdWorker(f.manifest, idx, f.out))
+	case "sched", "dispatch":
+		exit(cmdSched(cmd, &f))
+	case "serve":
+		exit(cmdServe(&f))
+	case "cachesrv":
+		exit(cmdCacheSrv(f.addr, f.dir))
+	case "fingerprint":
+		exit(cmdFingerprint(&f))
 	case "list":
-		err = cmdList()
+		exit(cmdList())
 	case "eval":
-		err = cmdEval(*datasetFlag, *approachFlag, *nFlag, *seedFlag)
-	case "fig7":
-		err = cmdFig7(*datasetFlag, *nFlag, *seedFlag)
-	case "fig8":
-		err = cmdFig8(*nFlag, *seedFlag)
-	case "fig9":
-		err = cmdFig9(*nFlag, *seedFlag)
-	case "fig10":
-		err = cmdFig10(*nFlag, *seedFlag)
-	case "fig15":
-		err = cmdFig15(*datasetFlag, *nFlag, *seedFlag)
-	case "cv":
-		err = cmdCV(*datasetFlag, *nFlag, *kFlag, *seedFlag)
-	case "fig22":
-		err = cmdFig22(*nFlag, *runsFlag, *seedFlag)
-	case "fig23":
-		err = cmdFig23(*nFlag, *seedFlag)
+		exit(cmdEval(f.dataset, f.approach, f.n, f.seed))
 	case "merge":
-		err = cmdMerge(fs.Args(), *outFlag)
+		exit(cmdMerge(fs.Args(), f.out))
 	case "resume":
-		err = cmdResume(*dirFlag, *procsFlag, *retriesFlag, *outFlag)
+		exit(cmdResume(&f))
 	case "all":
-		for _, c := range []func() error{
-			func() error { return cmdFig7("all", *nFlag, *seedFlag) },
-			func() error { return cmdFig8(*nFlag, *seedFlag) },
-			func() error { return cmdFig9(*nFlag, *seedFlag) },
-			func() error { return cmdFig10(*nFlag, *seedFlag) },
-			func() error { return cmdCV("all", *nFlag, *kFlag, *seedFlag) },
-			func() error { return cmdFig22(*nFlag, *runsFlag, *seedFlag) },
-			func() error { return cmdFig23(*nFlag, *seedFlag) },
-		} {
-			if err = c(); err != nil {
-				break
-			}
-		}
-	default:
+		f.dataset = "all"
+		exit(cmdFigures(allFigures, &f))
+	}
+	if _, ok := shardableCommands[cmd]; !ok && cmd != "fig8" {
 		stopProfiles() // flush any -cpuprofile/-memprofile started above
 		usage()
 		os.Exit(2)
 	}
-	exit(err)
+	if f.shard != "" {
+		spec, err := specFor(cmd, f.dataset, f.grid, &f)
+		if err == nil {
+			err = cmdShard(spec, &f)
+		}
+		exit(err)
+	}
+	exit(cmdFigures([]string{cmd}, &f))
 }
 
 func exit(err error) {
@@ -417,19 +386,19 @@ func (b biasSpec) apply(spec fairbench.GridSpec) fairbench.GridSpec {
 }
 
 // gridSpecFor assembles the grid spec the pool commands (dispatch,
-// sched) describe with their flags.
-func gridSpecFor(exp, ds string, n, k, runs int, seed int64, bias biasSpec) fairbench.GridSpec {
-	spec := fairbench.GridSpec{Experiment: exp, N: n, Seed: seed}
-	if ds != "" && !strings.EqualFold(ds, "all") {
-		spec.Dataset = ds
+// sched) and fingerprint describe with their flags.
+func gridSpecFor(f *flags) fairbench.GridSpec {
+	spec := fairbench.GridSpec{Experiment: f.exp, N: f.n, Seed: f.seed}
+	if f.dataset != "" && !strings.EqualFold(f.dataset, "all") {
+		spec.Dataset = f.dataset
 	}
-	switch strings.ToLower(exp) {
+	switch strings.ToLower(f.exp) {
 	case "cv":
-		spec.K = k
+		spec.K = f.k
 	case "fig22":
-		spec.Runs = runs
+		spec.Runs = f.runs
 	}
-	return bias.apply(spec)
+	return f.bias.apply(spec)
 }
 
 // signalContext is the run context of the long-running commands:
@@ -439,47 +408,42 @@ func signalContext() (context.Context, context.CancelFunc) {
 	return signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 }
 
-func cmdResume(dir string, procs, retries int, out string) error {
-	if dir == "" {
+func cmdResume(f *flags) error {
+	if f.dir == "" {
 		return fmt.Errorf("resume requires -dir (the run directory to finish)")
 	}
 	ctx, stop := signalContext()
 	defer stop()
-	merged, rep, err := fairbench.ResumeRun(ctx, dir, fairbench.RunOptions{
-		Procs: procs, Retries: retries, Parallelism: parallelism, Log: os.Stderr,
+	merged, rep, err := fairbench.ResumeRun(ctx, f.dir, fairbench.RunOptions{
+		Procs: f.procs, Retries: f.retries, Parallelism: f.parallel, Log: os.Stderr,
 	})
 	if err != nil {
 		return err
 	}
-	return renderRun(merged, rep, out)
+	return renderRun(merged, rep, f.out)
 }
 
 // cmdSched runs a grid on the subprocess pool — across -hosts, or on
 // the built-in local host with -procs slots — and prints the merged
 // tables: the serial figure command's output, fault-tolerantly. It is
 // the body of both `sched` and `dispatch`.
-func cmdSched(cmd, exp, ds string, n, k, runs int, seed int64, bias biasSpec, dir, cache, remoteStore, hostsPath string,
-	shards, procs, retries, maxHostFailures int, heartbeat time.Duration,
-	speculate bool, backoff, watchHosts time.Duration, localFallback bool, out string) error {
-	if exp == "" {
+func cmdSched(cmd string, f *flags) error {
+	if f.exp == "" {
 		return fmt.Errorf("%s requires -exp (fig7|fig9|fig10|fig15|cv|fig22|fig23|fig8rows|fig8attrs)", cmd)
 	}
-	if dir == "" {
+	if f.dir == "" {
 		return fmt.Errorf("%s requires -dir (the resumable run directory)", cmd)
 	}
-	var hosts []fairbench.SchedHost
-	if hostsPath != "" {
-		var err error
-		if hosts, err = fairbench.LoadHosts(hostsPath); err != nil {
-			return err
-		}
+	hosts, err := loadHosts(f.hosts)
+	if err != nil {
+		return err
 	}
 	var pool fairbench.PoolSource
-	if watchHosts > 0 {
-		if hostsPath == "" {
+	if f.watchHosts > 0 {
+		if f.hosts == "" {
 			return fmt.Errorf("-watch-hosts requires -hosts (the file to re-read)")
 		}
-		w, err := sched.WatchHosts(hostsPath, watchHosts)
+		w, err := sched.WatchHosts(f.hosts, f.watchHosts)
 		if err != nil {
 			return err
 		}
@@ -488,41 +452,78 @@ func cmdSched(cmd, exp, ds string, n, k, runs int, seed int64, bias biasSpec, di
 	}
 	ctx, stop := signalContext()
 	defer stop()
-	merged, rep, err := fairbench.Run(ctx, gridSpecFor(exp, ds, n, k, runs, seed, bias), fairbench.RunOptions{
+	merged, rep, err := fairbench.Run(ctx, gridSpecFor(f), fairbench.RunOptions{
 		Backend: fairbench.BackendPool,
-		Dir:     dir, Hosts: hosts, Shards: shards, Procs: procs, CacheDir: cache, RemoteStore: remoteStore,
-		HeartbeatTimeout: heartbeat, Retries: retries, MaxHostFailures: maxHostFailures,
-		Speculate: speculate, Backoff: backoff, LocalFallback: localFallback, PoolSource: pool,
-		Parallelism: parallelism, Log: os.Stderr,
+		Dir:     f.dir, Hosts: hosts, Shards: f.shards, Procs: f.procs, CacheDir: f.cache, RemoteStore: f.remoteStore,
+		HeartbeatTimeout: f.heartbeat, Retries: f.retries, MaxHostFailures: f.maxHostFailures,
+		Speculate: f.speculate, Backoff: f.backoff, LocalFallback: f.localFallback, PoolSource: pool,
+		Parallelism: f.parallel, Log: os.Stderr,
 	})
 	if err != nil {
 		return err
 	}
-	return renderRun(merged, rep, out)
+	return renderRun(merged, rep, f.out)
+}
+
+// loadHosts reads the -hosts pool definition; no file means the
+// built-in local host.
+func loadHosts(path string) ([]fairbench.SchedHost, error) {
+	if path == "" {
+		return nil, nil
+	}
+	return fairbench.LoadHosts(path)
+}
+
+// Timeouts of the daemons' HTTP servers. A client gets this long to send
+// its request headers, and an idle keep-alive connection is closed after
+// the idle timeout, so stalled or abandoned connections cannot pile up.
+// Bodies and responses are not bounded here: /runs streams rows for as
+// long as a run lasts.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// serveHTTP serves h on ln until ctx is done, then shuts the server
+// down within grace. A listener failure is returned as is.
+func serveHTTP(ctx context.Context, ln net.Listener, h http.Handler, grace time.Duration, drain func(context.Context) error) error {
+	srv := &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+	errc := make(chan error, 1)
+	go func() { errc <- srv.Serve(ln) }()
+	select {
+	case err := <-errc:
+		return err
+	case <-ctx.Done():
+	}
+	dctx, cancel := context.WithTimeout(context.Background(), grace)
+	defer cancel()
+	var err error
+	if drain != nil {
+		err = drain(dctx)
+	}
+	if serr := srv.Shutdown(dctx); serr != nil && err == nil {
+		err = serr
+	}
+	return err
 }
 
 // cmdServe runs the benchmark-as-a-service daemon: grids submitted
 // over HTTP execute on the same engine the dispatch/sched commands
 // use, deduplicated by grid fingerprint and checkpointed under -state.
 // SIGTERM/SIGINT drain gracefully; interrupted runs resume on restart.
-func cmdServe(addr, stateDir, cache, remoteStore, hostsPath string,
-	shards, procs, retries, maxRuns, maxHostFailures int, heartbeat time.Duration,
-	speculate bool, backoff time.Duration, localFallback bool) error {
-	if stateDir == "" {
+func cmdServe(f *flags) error {
+	if f.state == "" {
 		return fmt.Errorf("serve requires -state (the daemon's run-state directory)")
 	}
-	var hosts []fairbench.SchedHost
-	if hostsPath != "" {
-		var err error
-		if hosts, err = fairbench.LoadHosts(hostsPath); err != nil {
-			return err
-		}
+	hosts, err := loadHosts(f.hosts)
+	if err != nil {
+		return err
 	}
 	srv, err := serve.New(serve.Config{
-		StateDir: stateDir, CacheDir: cache, RemoteStore: remoteStore, MaxConcurrent: maxRuns,
-		Shards: shards, Procs: procs, Retries: retries, Parallelism: parallelism,
-		Hosts: hosts, HeartbeatTimeout: heartbeat, MaxHostFailures: maxHostFailures,
-		Speculate: speculate, Backoff: backoff, LocalFallback: localFallback,
+		StateDir: f.state, CacheDir: f.cache, RemoteStore: f.remoteStore, MaxConcurrent: f.maxRuns,
+		Shards: f.shards, Procs: f.procs, Retries: f.retries, Parallelism: f.parallel,
+		Hosts: hosts, HeartbeatTimeout: f.heartbeat, MaxHostFailures: f.maxHostFailures,
+		Speculate: f.speculate, Backoff: f.backoff, LocalFallback: f.localFallback,
 		Log: os.Stderr,
 	})
 	if err != nil {
@@ -534,32 +535,21 @@ func cmdServe(addr, stateDir, cache, remoteStore, hostsPath string,
 		fmt.Fprintf(os.Stderr, "fairbench: serve: resumed %d interrupted run(s)\n", resumed)
 	}
 
-	ln, err := net.Listen("tcp", addr)
+	ln, err := net.Listen("tcp", f.addr)
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
 	ctx, stop := signalContext()
 	defer stop()
-	fmt.Fprintf(os.Stderr, "fairbench: serving on http://%s (state %s)\n", ln.Addr(), stateDir)
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.Serve(ln) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	fmt.Fprintln(os.Stderr, "fairbench: serve: draining — in-flight runs checkpoint and resume on the next start")
-	dctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	drainErr := srv.Drain(dctx)
-	if err := httpSrv.Shutdown(dctx); err != nil && drainErr == nil {
-		drainErr = err
-	}
-	if drainErr == nil {
+	fmt.Fprintf(os.Stderr, "fairbench: serving on http://%s (state %s)\n", ln.Addr(), f.state)
+	err = serveHTTP(ctx, ln, srv.Handler(), 30*time.Second, func(dctx context.Context) error {
+		fmt.Fprintln(os.Stderr, "fairbench: serve: draining — in-flight runs checkpoint and resume on the next start")
+		return srv.Drain(dctx)
+	})
+	if err == nil {
 		fmt.Fprintln(os.Stderr, "fairbench: serve: drained cleanly")
 	}
-	return drainErr
+	return err
 }
 
 // cmdCacheSrv runs the standalone shared result store: an on-disk
@@ -583,20 +573,10 @@ func cmdCacheSrv(addr, dir string) error {
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: mux}
 	ctx, stop := signalContext()
 	defer stop()
 	fmt.Fprintf(os.Stderr, "fairbench: cachesrv: serving %s on http://%s/cache\n", dir, ln.Addr())
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.Serve(ln) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	dctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(dctx); err != nil {
+	if err := serveHTTP(ctx, ln, mux, 10*time.Second, nil); err != nil {
 		return err
 	}
 	c := ds.Counters()
@@ -609,11 +589,11 @@ func cmdCacheSrv(addr, dir string) error {
 // describe — the address prefix the result store keys its cells
 // under. CI keys its cross-run cache (actions/cache) on this value so
 // a grid change invalidates the cache exactly when the keys change.
-func cmdFingerprint(exp, ds string, n, k, runs int, seed int64, bias biasSpec) error {
-	if exp == "" {
+func cmdFingerprint(f *flags) error {
+	if f.exp == "" {
 		return fmt.Errorf("fingerprint requires -exp (fig7|fig9|fig10|fig15|cv|fig22|fig23|fig8rows|fig8attrs)")
 	}
-	fp, err := fairbench.GridFingerprint(gridSpecFor(exp, ds, n, k, runs, seed, bias))
+	fp, err := fairbench.GridFingerprint(gridSpecFor(f))
 	if err != nil {
 		return err
 	}
@@ -625,7 +605,7 @@ func cmdFingerprint(exp, ds string, n, k, runs int, seed int64, bias biasSpec) e
 // line (the e2e jobs assert on computed=0 and "fully cached" for warm
 // runs), and the optional JSON dump.
 func renderRun(merged *fairbench.GridOutput, rep *fairbench.RunReport, out string) error {
-	if err := renderOutput(merged); err != nil {
+	if err := report.RenderOutput(os.Stdout, merged); err != nil {
 		return err
 	}
 	switch {
@@ -653,17 +633,7 @@ func renderRun(merged *fairbench.GridOutput, rep *fairbench.RunReport, out strin
 	if rep.CacheDegraded {
 		fmt.Fprintln(os.Stderr, "fairbench: remote store DEGRADED — repeated transport failures; the run finished on the local cache tier alone")
 	}
-	if out != "" {
-		data, err := jsonIndent(merged)
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(out, data, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "fairbench: wrote merged output to %s\n", out)
-	}
-	return nil
+	return writeOutput(merged, out)
 }
 
 // cmdWorker is the dispatch/sched-spawned subprocess body. With
@@ -686,10 +656,9 @@ func cmdWorker(manifest string, shard int, out string) error {
 	return dispatch.Worker(manifest, shard, out)
 }
 
-// specFor builds the grid spec a sharded run of cmd describes, resolving
-// the same defaults the serial command would use so a sharded run and a
-// serial run with identical flags materialize identical grids.
-func specFor(cmd, ds string, n, k, runs int, grid string, seed int64, bias biasSpec) (fairbench.GridSpec, error) {
+// specFor builds the grid spec one grid of a figure command describes
+// (fig8 spans two; grid picks rows or attrs).
+func specFor(cmd, ds, grid string, f *flags) (fairbench.GridSpec, error) {
 	experiment, ok := shardableCommands[cmd]
 	if cmd == "fig8" {
 		switch grid {
@@ -702,7 +671,7 @@ func specFor(cmd, ds string, n, k, runs int, grid string, seed int64, bias biasS
 	if !ok {
 		return fairbench.GridSpec{}, fmt.Errorf("command %q has no shardable job grid", cmd)
 	}
-	spec := fairbench.GridSpec{Experiment: experiment, N: n, Seed: seed}
+	spec := fairbench.GridSpec{Experiment: experiment, N: f.n, Seed: f.seed}
 	switch cmd {
 	case "fig7", "fig15", "cv":
 		if strings.ToLower(ds) == "all" || ds == "" {
@@ -712,50 +681,70 @@ func specFor(cmd, ds string, n, k, runs int, grid string, seed int64, bias biasS
 	}
 	switch cmd {
 	case "cv":
-		spec.K = k
+		spec.K = f.k
 	case "fig22":
-		spec.Runs = runs
+		spec.Runs = f.runs
 	}
-	return bias.apply(spec), nil
+	return f.bias.apply(spec), nil
 }
 
-// cmdBiasedFigure runs a figure command whose flags request bias
-// injection. It resolves each grid the command spans (datasets for
-// fig7/fig15/cv with -dataset all, both fig8 grids) to a spec and
-// executes it on the in-process engine backend — exactly the path a
-// dispatched or served run of the same spec merges into.
-func cmdBiasedFigure(cmd, ds string, n, k, runs int, grid string, seed int64,
-	bias biasSpec, out string) error {
-	datasets, grids := []string{ds}, []string{grid}
-	switch cmd {
-	case "fig7", "fig15", "cv":
-		if ds == "" || strings.EqualFold(ds, "all") {
-			datasets = []string{"adult", "compas", "german"}
+// cmdFigures prints the figure commands' tables: every grid each command
+// spans (one per dataset for fig7/fig15/cv with -dataset all, both fig8
+// grids) runs on the in-process engine and renders exactly as a merged,
+// pooled or served run of the same spec does. fig9 adds its Δ tables,
+// which compare against the fig7 grid on the same data.
+func cmdFigures(cmds []string, f *flags) error {
+	var specs []fairbench.GridSpec
+	for _, cmd := range cmds {
+		datasets, grids := []string{f.dataset}, []string{f.grid}
+		switch cmd {
+		case "fig7", "fig15", "cv":
+			if f.dataset == "" || strings.EqualFold(f.dataset, "all") {
+				datasets = []string{"adult", "compas", "german"}
+			}
+		case "fig8":
+			grids = []string{"rows", "attrs"}
 		}
-	case "fig8":
-		grids = []string{"rows", "attrs"}
+		for _, d := range datasets {
+			for _, g := range grids {
+				spec, err := specFor(cmd, d, g, f)
+				if err != nil {
+					return err
+				}
+				specs = append(specs, spec)
+			}
+		}
 	}
-	if out != "" && len(datasets)*len(grids) > 1 {
+	if f.out != "" && len(specs) > 1 {
 		return fmt.Errorf("-out holds one grid's merged output: pick a single -dataset")
 	}
 	ctx, stop := signalContext()
 	defer stop()
-	for _, d := range datasets {
-		for _, g := range grids {
-			spec, err := specFor(cmd, d, n, k, runs, g, seed, bias)
+	opts := fairbench.RunOptions{
+		Backend: fairbench.BackendInproc, Parallelism: f.parallel, CacheDir: f.cache, RemoteStore: f.remoteStore,
+	}
+	for i, spec := range specs {
+		if i > 0 {
+			fmt.Println()
+		}
+		out, rep, err := fairbench.Run(ctx, spec, opts)
+		if err != nil {
+			return err
+		}
+		if err := renderRun(out, rep, f.out); err != nil {
+			return err
+		}
+		if spec.Experiment == "fig9" {
+			clean := spec
+			clean.Experiment, clean.Dataset = "fig7", out.Spec.Dataset
+			cleanOut, _, err := fairbench.Run(ctx, clean, opts)
 			if err != nil {
-				return err
-			}
-			merged, rep, err := fairbench.Run(ctx, spec, fairbench.RunOptions{
-				Backend: fairbench.BackendInproc, Parallelism: parallelism,
-			})
-			if err != nil {
-				return err
-			}
-			if err := renderRun(merged, rep, out); err != nil {
 				return err
 			}
 			fmt.Println()
+			if err := report.RenderDeltas(os.Stdout, cleanOut.Rows, out.Robustness); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -780,12 +769,20 @@ func parseShard(s string) (i, k int, err error) {
 	return i, k, nil
 }
 
-func cmdShard(spec fairbench.GridSpec, shardArg, out string) error {
-	i, k, err := parseShard(shardArg)
+// cmdShard runs one shard of a figure command's grid against the
+// -cache/-remote-store result store and emits its envelope.
+func cmdShard(spec fairbench.GridSpec, f *flags) error {
+	i, k, err := parseShard(f.shard)
 	if err != nil {
 		return err
 	}
-	env, err := fairbench.RunShard(spec, i, k)
+	s, err := store.OpenBackend(f.cache, f.remoteStore)
+	if err != nil {
+		return err
+	}
+	ctx, stop := signalContext()
+	defer stop()
+	env, err := experiments.RunShard(ctx, spec, i, k, s, f.parallel)
 	if err != nil {
 		return err
 	}
@@ -793,15 +790,15 @@ func cmdShard(spec fairbench.GridSpec, shardArg, out string) error {
 	if err != nil {
 		return err
 	}
-	if out == "" {
+	if f.out == "" {
 		_, err = fmt.Println(string(data))
 		return err
 	}
-	if err := os.WriteFile(out, data, 0o644); err != nil {
+	if err := os.WriteFile(f.out, data, 0o644); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "fairbench: wrote shard %d/%d (%d of %d jobs) to %s\n",
-		i, k, len(env.Indices), env.Total, out)
+		i, k, len(env.Indices), env.Total, f.out)
 	return nil
 }
 
@@ -825,44 +822,26 @@ func cmdMerge(files []string, out string) error {
 	if err != nil {
 		return err
 	}
-	if err := renderOutput(merged); err != nil {
+	if err := report.RenderOutput(os.Stdout, merged); err != nil {
 		return err
 	}
-	if out != "" {
-		data, err := jsonIndent(merged)
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(out, data, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "fairbench: wrote merged output to %s\n", out)
+	return writeOutput(merged, out)
+}
+
+// writeOutput writes the merged output as JSON to the -out file, if any.
+func writeOutput(merged *fairbench.GridOutput, out string) error {
+	if out == "" {
+		return nil
 	}
+	data, err := json.MarshalIndent(merged, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(out, data, 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "fairbench: wrote merged output to %s\n", out)
 	return nil
-}
-
-// renderOutput prints a merged grid result with the same tables the
-// serial command would print; the renderer itself lives in
-// internal/report so the serve daemon shares it.
-func renderOutput(out *fairbench.GridOutput) error {
-	return report.RenderOutput(os.Stdout, out)
-}
-
-func sources(name string, n int, seed int64) ([]*fairbench.Source, error) {
-	switch strings.ToLower(name) {
-	case "adult":
-		return []*fairbench.Source{fairbench.Adult(n, seed)}, nil
-	case "compas":
-		return []*fairbench.Source{fairbench.COMPAS(n, seed)}, nil
-	case "german":
-		return []*fairbench.Source{fairbench.German(n, seed)}, nil
-	case "all", "":
-		return []*fairbench.Source{
-			fairbench.Adult(n, seed), fairbench.COMPAS(n, seed), fairbench.German(n, seed),
-		}, nil
-	default:
-		return nil, fmt.Errorf("unknown dataset %q", name)
-	}
 }
 
 func cmdList() error {
@@ -888,17 +867,24 @@ func cmdList() error {
 	return nil
 }
 
-func rowsTable(title string, rows []fairbench.Row) *report.Table {
-	return report.RowsTable(title, rows)
-}
-
+// cmdEval evaluates one approach on one dataset, or on each with
+// -dataset all — the library's Split/NewApproach/Evaluate path.
 func cmdEval(ds, approach string, n int, seed int64) error {
 	if approach == "" {
 		return fmt.Errorf("eval requires -approach (see 'fairbench list')")
 	}
-	srcs, err := sources(ds, n, seed)
-	if err != nil {
-		return err
+	var srcs []*fairbench.Source
+	switch strings.ToLower(ds) {
+	case "adult":
+		srcs = []*fairbench.Source{fairbench.Adult(n, seed)}
+	case "compas":
+		srcs = []*fairbench.Source{fairbench.COMPAS(n, seed)}
+	case "german":
+		srcs = []*fairbench.Source{fairbench.German(n, seed)}
+	case "all", "":
+		srcs = []*fairbench.Source{fairbench.Adult(n, seed), fairbench.COMPAS(n, seed), fairbench.German(n, seed)}
+	default:
+		return fmt.Errorf("unknown dataset %q", ds)
 	}
 	for _, src := range srcs {
 		train, test := fairbench.Split(src.Data, 0.7, seed)
@@ -910,169 +896,10 @@ func cmdEval(ds, approach string, n int, seed int64) error {
 		if err != nil {
 			return err
 		}
-		if err := rowsTable(src.Data.Name, []fairbench.Row{row}).Render(os.Stdout); err != nil {
+		if err := report.RowsTable(src.Data.Name, []fairbench.Row{row}).Render(os.Stdout); err != nil {
 			return err
 		}
 		fmt.Println()
 	}
 	return nil
-}
-
-func cmdFig7(ds string, n int, seed int64) error {
-	srcs, err := sources(ds, n, seed)
-	if err != nil {
-		return err
-	}
-	for _, src := range srcs {
-		rows, err := fairbench.RunCorrectnessFairness(src, seed)
-		if err != nil {
-			return err
-		}
-		title := fmt.Sprintf("Figure 7 — correctness & fairness on %s (|D|=%d)", src.Data.Name, src.Data.Len())
-		if err := rowsTable(title, rows).Render(os.Stdout); err != nil {
-			return err
-		}
-		fmt.Println()
-	}
-	return nil
-}
-
-func cmdFig15(ds string, n int, seed int64) error {
-	srcs, err := sources(ds, n, seed)
-	if err != nil {
-		return err
-	}
-	for _, src := range srcs {
-		rows, err := experiments.Extensions(src, seed)
-		if err != nil {
-			return err
-		}
-		title := fmt.Sprintf("Figure 15 — appendix extensions on %s (|D|=%d)", src.Data.Name, src.Data.Len())
-		if err := rowsTable(title, rows).Render(os.Stdout); err != nil {
-			return err
-		}
-		fmt.Println()
-	}
-	return nil
-}
-
-func cmdFig8(n int, seed int64) error {
-	src := fairbench.Adult(n, seed)
-	// The same defaults Spec normalization applies, so a sharded fig8 run
-	// materializes exactly this grid.
-	rowsBySize, err := fairbench.RunScalabilityRows(src, experiments.DefaultFig8Sizes(n), seed)
-	if err != nil {
-		return err
-	}
-	if err := scalabilityTable("Figure 8(a-c) — runtime overhead vs #data points (Adult)", "points", rowsBySize).Render(os.Stdout); err != nil {
-		return err
-	}
-	fmt.Println()
-	rowsByAttr, err := fairbench.RunScalabilityAttrs(src, experiments.DefaultFig8AttrCounts(), experiments.DefaultFig8Sample(n), seed)
-	if err != nil {
-		return err
-	}
-	if err := scalabilityTable("Figure 8(d-f) — runtime overhead vs #attributes (Adult)", "attrs", rowsByAttr).Render(os.Stdout); err != nil {
-		return err
-	}
-	fmt.Println()
-	return nil
-}
-
-func scalabilityTable(title, xlabel string, series map[string][]experiments.ScalabilityPoint) *report.Table {
-	return report.ScalabilityTable(title, xlabel, series)
-}
-
-func cmdFig9(n int, seed int64) error {
-	src := fairbench.COMPAS(n, seed)
-	clean, err := fairbench.RunCorrectnessFairness(src, seed)
-	if err != nil {
-		return err
-	}
-	results, err := fairbench.RunRobustness(src, seed)
-	if err != nil {
-		return err
-	}
-	for _, res := range results {
-		title := fmt.Sprintf("Figure 9 — robustness on COMPAS + %s", res.Template)
-		if err := rowsTable(title, res.Rows).Render(os.Stdout); err != nil {
-			return err
-		}
-		dt := &report.Table{
-			Title:   fmt.Sprintf("Δ vs clean training (%s)", res.Template),
-			Headers: []string{"approach", "accuracy drop", "target-fairness drop"},
-		}
-		for _, d := range experiments.Deltas(clean, res) {
-			dt.Add(d.Approach, report.F(d.AccuracyDrop), report.F(d.TargetFairDrop))
-		}
-		if err := dt.Render(os.Stdout); err != nil {
-			return err
-		}
-		fmt.Println()
-	}
-	return nil
-}
-
-func cmdFig10(n int, seed int64) error {
-	src := fairbench.Adult(n, seed)
-	rows, err := fairbench.RunModelSensitivity(src, seed)
-	if err != nil {
-		return err
-	}
-	return renderSensitivity(rows, "Adult")
-}
-
-func renderSensitivity(rows []experiments.SensitivityRow, dataset string) error {
-	return report.RenderSensitivity(os.Stdout, rows, dataset)
-}
-
-func cmdCV(ds string, n, k int, seed int64) error {
-	srcs, err := sources(ds, n, seed)
-	if err != nil {
-		return err
-	}
-	for _, src := range srcs {
-		rows, err := fairbench.RunCrossValidation(src, k, seed)
-		if err != nil {
-			return err
-		}
-		title := fmt.Sprintf("Figures 16-18 — %d-fold cross validation on %s", k, src.Data.Name)
-		if err := rowsTable(title, rows).Render(os.Stdout); err != nil {
-			return err
-		}
-		fmt.Println()
-	}
-	return nil
-}
-
-func cmdFig22(n, runs int, seed int64) error {
-	src := fairbench.Adult(n, seed)
-	rows, err := fairbench.RunStability(src, runs, seed)
-	if err != nil {
-		return err
-	}
-	return renderStability(rows, runs, "Adult")
-}
-
-func renderStability(rows []experiments.StabilityRow, runs int, dataset string) error {
-	return report.RenderStability(os.Stdout, rows, runs, dataset)
-}
-
-func cmdFig23(n int, seed int64) error {
-	src := fairbench.Adult(n, seed)
-	sizes := experiments.DefaultFig23Sizes(n)
-	series, err := fairbench.RunDataEfficiency(src, sizes, seed)
-	if err != nil {
-		return err
-	}
-	return renderEfficiency(series, sizes, "Adult")
-}
-
-func renderEfficiency(series map[string][]experiments.EfficiencyPoint, sizes []int, dataset string) error {
-	return report.RenderEfficiency(os.Stdout, series, sizes, dataset)
-}
-
-// jsonIndent renders the merged output for -out.
-func jsonIndent(v any) ([]byte, error) {
-	return json.MarshalIndent(v, "", "  ")
 }

@@ -16,32 +16,34 @@
 //   - the full experiment harness regenerating every figure and table of
 //     the paper's evaluation section.
 //
-// Quick start:
+// Quick start — one figure is one GridSpec, run by Run:
 //
-//	src := fairbench.COMPAS(0, 1)
-//	rows, err := fairbench.RunCorrectnessFairness(src, 42)
+//	spec := fairbench.GridSpec{Experiment: "fig7", Dataset: "compas", Seed: 42}
+//	out, rep, err := fairbench.Run(ctx, spec, fairbench.RunOptions{})
+//	// out.Rows is Figure 7 on COMPAS; rep says how the cells were run.
+//
+// Library callers with their own data use Split, NewApproach, and
+// Evaluate directly.
 //
 // # Parallel and batched execution
 //
-// Every experiment driver fans its (approach × dataset-slice) grid across
+// Every experiment grid fans its (approach × dataset-slice) cells across
 // a worker pool sized to GOMAXPROCS by default. Results are deterministic:
 // for a fixed seed, a parallel run returns exactly the rows a serial run
 // would, because each grid cell constructs its own approach and random
 // stream from explicit seeds and cells share no mutable state. Only the
 // timing fields (Seconds, Overhead) vary — under a parallel pool they
 // are measured with the other cells competing for cores. The pure timing
-// experiment (RunScalabilityRows/RunScalabilityAttrs, Figure 8) therefore
-// always measures with one worker. Size the pool per run with
-// RunOptions.Parallelism (zero means one worker per CPU, 1 forces serial
-// execution):
+// grids (fig8rows/fig8attrs, Figure 8) therefore always measure with one
+// worker. Size the pool per run with RunOptions.Parallelism (zero means
+// one worker per CPU, 1 forces serial execution):
 //
 //	out, rep, err := fairbench.Run(ctx, spec, fairbench.RunOptions{Parallelism: 8})
 //
-// The fairbench CLI exposes the same knob as -parallel N, the deprecated
-// process-global SetParallelism remains for the driver functions that
-// take a Source rather than a GridSpec, and the benchmark suite tracks
-// the speedup (BenchmarkEvalAllSerial vs BenchmarkEvalAllParallel; see
-// scripts/bench.sh, which records both to BENCH_parallel.json).
+// The fairbench CLI exposes the same knob as -parallel N, and the
+// benchmark suite tracks the speedup (BenchmarkEvalAllSerial vs
+// BenchmarkEvalAllParallel; see scripts/bench.sh, which records both to
+// BENCH_parallel.json).
 //
 // Cells are executed batch-at-a-time: cells sharing one dataset
 // materialization (same dataset slice, size, seed, and bias profile) are
@@ -76,16 +78,18 @@
 //
 // # Result caching and resumable runs
 //
-// CacheDir installs an on-disk result cache keyed by (grid fingerprint,
-// cell index, seed, GOARCH). Once installed, every grid execution path —
-// the driver functions on stock benchmark sources, RunShard, and the
-// pool's workers — serves verified cache hits instead of
-// recomputing cells, and re-running any figure computes only the
-// cache-miss cells while staying byte-identical to a cold run:
+// RunOptions.CacheDir names an on-disk result cache keyed by (grid
+// fingerprint, cell index, seed, GOARCH), and RunOptions.RemoteStore a
+// shared one behind it. The run, and every pool worker it spawns, serves
+// verified cache hits instead of recomputing cells, so re-running any
+// figure computes only the cache-miss cells while staying byte-identical
+// to a cold run:
 //
-//	fairbench.CacheDir(".fairbench-cache")
-//	rows, _ := fairbench.RunCorrectnessFairness(src, 42) // cold: computes + caches
-//	rows, _ = fairbench.RunCorrectnessFairness(src, 42)  // warm: zero computations
+//	opts := fairbench.RunOptions{CacheDir: ".fairbench-cache"}
+//	_, rep, _ := fairbench.Run(ctx, spec, opts) // cold: computes + caches
+//	_, rep, _ = fairbench.Run(ctx, spec, opts)  // warm: rep.CellsComputed == 0
+//
+// CacheDiskUsage and CacheGC inspect and prune a cache directory.
 //
 // Giving Run a directory makes it run the grid on a pool of worker
 // subprocesses — one built-in local host with Procs slots — and merge
@@ -141,20 +145,17 @@
 //	// ... interrupted ...
 //	out, rep, err = fairbench.ResumeRun(ctx, "run", fairbench.RunOptions{Procs: 4})
 //
-// Run and ResumeRun are the only whole-grid entry points — the
-// deprecated Dispatch/Resume/Sched/SchedResume/RunShardCached wrappers
-// they subsumed have been removed (SchedOptions and SchedReport remain
-// as the types inside RunReport). The `fairbench serve` command exposes the
-// same engine as a persistent HTTP service (see the README's "Serving"
-// section).
+// Run and ResumeRun are the only whole-grid entry points, and the
+// fairbench CLI's figure commands, its pool commands, and the `fairbench
+// serve` daemon all print their tables from the GridOutput they return
+// (see the README's "Serving" section). No cache or pool size is
+// process-global state: every run names its own in RunOptions.
 //
 // See the examples/ directory for runnable programs.
 package fairbench
 
 import (
 	"context"
-	"fmt"
-	"sync"
 
 	"fairbench/internal/causal"
 	"fairbench/internal/classifier"
@@ -166,7 +167,6 @@ import (
 	"fairbench/internal/metrics"
 	"fairbench/internal/registry"
 	"fairbench/internal/rng"
-	"fairbench/internal/runner"
 	"fairbench/internal/sched"
 	"fairbench/internal/shard"
 	"fairbench/internal/store"
@@ -210,15 +210,15 @@ type (
 	ShardRange = shard.Range
 	// ShardEnvelope is the JSON-serializable partial result of one shard.
 	ShardEnvelope = shard.Envelope
-	// CacheCounters are the in-memory hit/miss/write/reject counters of
-	// the installed result cache (plus transport-error counts for
-	// remote-backed caches).
+	// CacheCounters are a result store's in-memory hit/miss/write/reject
+	// counters (plus transport-error counts for remote-backed stores);
+	// RunReport.CacheStats carries one run's.
 	CacheCounters = store.Counters
 	// CacheBackend is a verified result cache: on-disk, remote HTTP, or
 	// tiered (disk in front of a shared remote). See store.Backend.
 	CacheBackend = store.Backend
-	// CacheUsage summarizes the cache directory: entries, bytes, and
-	// distinct grid fingerprints, plus the counters.
+	// CacheUsage summarizes a cache directory: entries, bytes, and
+	// distinct grid fingerprints.
 	CacheUsage = store.Stats
 	// SchedHost describes one member of a multi-host execution pool.
 	SchedHost = sched.Host
@@ -321,26 +321,6 @@ func NewApproachWithModel(name, model string, g *Graph, seed int64) (Approach, e
 // Baseline returns the fairness-unaware logistic-regression classifier.
 func Baseline() Approach { return fair.NewBaseline() }
 
-// SetParallelism sets the process-wide default worker count every
-// experiment driver uses for its job grid. n <= 0 restores the default,
-// GOMAXPROCS; 1 forces serial execution. Metric results are identical at
-// any setting for a fixed seed; the timing fields (Seconds, Overhead)
-// reflect the selected concurrency, so use 1 for contention-free runtime
-// studies. Safe to call concurrently with running experiments (in-flight
-// runs keep their pool).
-//
-// Deprecated: prefer RunOptions.Parallelism, which scopes the pool size
-// to one Run instead of mutating process-global state. SetParallelism
-// remains as the only knob for the Source-based driver functions
-// (RunCorrectnessFairness and friends), which carry no options struct.
-func SetParallelism(n int) { runner.SetParallelism(n) }
-
-// Parallelism reports the process-wide default worker count; a
-// RunOptions.Parallelism override is not reflected here.
-//
-// Deprecated: see SetParallelism.
-func Parallelism() int { return runner.Parallelism() }
-
 // PlanShards reports the contiguous job ranges a k-way split of the
 // spec's grid produces. The same plan is computed independently by every
 // RunShard call, so no coordination beyond (spec, i, k) is needed.
@@ -356,8 +336,10 @@ func PlanShards(spec GridSpec, k int) ([]ShardRange, error) {
 // (and the merging process) share one CPU architecture, since float
 // arithmetic differs across architectures (e.g. FMA contraction on
 // arm64). Envelopes record GOARCH and MergeShards enforces the match.
+// The shard runs uncached on one worker per CPU; Run with a CacheDir is
+// the cached path.
 func RunShard(spec GridSpec, i, k int) (*ShardEnvelope, error) {
-	return experiments.RunShard(spec, i, k)
+	return experiments.RunShard(context.Background(), spec, i, k, nil, 0)
 }
 
 // MergeShards validates a complete shard set and reassembles the
@@ -381,95 +363,24 @@ func DecodeShardEnvelope(data []byte) (*ShardEnvelope, error) {
 	return shard.Decode(data)
 }
 
-// activeCache tracks the handle CacheDir/CacheRemote installed, for the
-// stat/GC API. disk is the local tier (nil for a remote-only install),
-// the only backend with a directory to walk or collect.
-var activeCache = struct {
-	mu   sync.Mutex
-	s    store.Backend
-	disk *store.DiskStore
-}{}
-
-// CacheDir installs a process-wide on-disk result cache at dir (created
-// if missing), or removes the cache when dir is empty. While installed,
-// every grid execution path that has a fingerprint — the experiment
-// drivers on stock benchmark sources, RunShard, the pool's workers —
-// consults it: cells cached under (grid fingerprint, cell index, seed,
-// GOARCH) are served from disk after integrity verification, and
-// freshly computed cells are written back atomically. Cached results are
-// byte-identical to recomputation on the same architecture; entries
-// never cross architectures or seeds. Note the cache also stores the
-// pure-timing (fig8) cells — resumability requires it — so clear it, or
-// run without one, to re-measure timings.
-func CacheDir(dir string) error {
-	return CacheRemote(dir, "")
-}
-
-// CacheRemote installs the process-wide result cache dir and remoteURL
-// select (see store.OpenBackend): a local on-disk cache, a shared
-// remote HTTP cache (`fairbench cachesrv` or a serve daemon's /cache
-// mount), or — with both set — a tiered store that reads local-first,
-// promotes remote hits, and writes computed cells through to the fleet.
-// Every read is verified (key fields + SHA-256) regardless of backend;
-// a remote outage degrades reads and writes to local-only rather than
-// failing the run. Both arguments empty removes the cache.
-func CacheRemote(dir, remoteURL string) error {
-	activeCache.mu.Lock()
-	defer activeCache.mu.Unlock()
-	b, err := store.OpenBackend(dir, remoteURL)
+// CacheDiskUsage walks the on-disk result cache at dir and reports its
+// entry count, bytes, and distinct grid fingerprints. A run's own cache
+// counters are in its RunReport.CacheStats.
+func CacheDiskUsage(dir string) (CacheUsage, error) {
+	s, err := store.Open(dir)
 	if err != nil {
-		return err
-	}
-	activeCache.s = b
-	activeCache.disk = nil
-	if dir != "" {
-		// The local tier is what Stats/GC walk; OpenBackend built it as
-		// either the whole backend or the tiered front.
-		switch s := b.(type) {
-		case *store.DiskStore:
-			activeCache.disk = s
-		case *store.TieredStore:
-			activeCache.disk, _ = s.Local().(*store.DiskStore)
-		}
-	}
-	experiments.SetDefaultCache(b)
-	return nil
-}
-
-// CacheStats returns the installed cache's in-memory counters (zero
-// values when no cache is installed).
-func CacheStats() CacheCounters {
-	activeCache.mu.Lock()
-	s := activeCache.s
-	activeCache.mu.Unlock()
-	if s == nil {
-		return CacheCounters{}
-	}
-	return s.Counters()
-}
-
-// CacheDiskUsage walks the installed cache's local directory and reports
-// entry count, bytes, and distinct grid fingerprints. A remote-only
-// cache has no directory to walk and errors.
-func CacheDiskUsage() (CacheUsage, error) {
-	activeCache.mu.Lock()
-	s := activeCache.disk
-	activeCache.mu.Unlock()
-	if s == nil {
-		return CacheUsage{}, fmt.Errorf("fairbench: no on-disk cache installed (call CacheDir first)")
+		return CacheUsage{}, err
 	}
 	return s.Stats()
 }
 
-// CacheGC drops every cached grid except those the given specs
+// CacheGC drops every grid cached under dir except those the given specs
 // materialize, returning how many grids were removed. Pass the specs of
 // the figures still being iterated on; everything else is reclaimed.
-func CacheGC(keep ...GridSpec) (removed int, err error) {
-	activeCache.mu.Lock()
-	s := activeCache.disk
-	activeCache.mu.Unlock()
-	if s == nil {
-		return 0, fmt.Errorf("fairbench: no on-disk cache installed (call CacheDir first)")
+func CacheGC(dir string, keep ...GridSpec) (removed int, err error) {
+	s, err := store.Open(dir)
+	if err != nil {
+		return 0, err
 	}
 	inUse := map[string]bool{}
 	for _, spec := range keep {
@@ -511,8 +422,7 @@ func NewEngine(defaults RunOptions) *Engine { return engine.New(defaults) }
 // directory-backed runs left resumable via ResumeRun. With
 // opts.CacheDir set, a fully-cached grid is served entirely by the
 // calling process (RunReport.ServedFromCache: computed=0, no worker or
-// host touched). Run subsumed the removed Dispatch, Sched, and
-// RunShardCached entry points.
+// host touched).
 func Run(ctx context.Context, spec GridSpec, opts RunOptions) (*GridOutput, *RunReport, error) {
 	return defaultEngine.Run(ctx, spec, opts)
 }
@@ -521,8 +431,7 @@ func Run(ctx context.Context, spec GridSpec, opts RunOptions) (*GridOutput, *Run
 // subprocess pool — every run directory, including ones written before
 // manifests recorded a range plan, resumes here. Completed envelopes are validated and reused, missing
 // work is executed (consulting the run's result cache at cell
-// granularity), and the completed set is merged. ResumeRun replaces the
-// deprecated Resume and SchedResume.
+// granularity), and the completed set is merged.
 func ResumeRun(ctx context.Context, dir string, opts RunOptions) (*GridOutput, *RunReport, error) {
 	return defaultEngine.ResumeRun(ctx, dir, opts)
 }
@@ -577,44 +486,4 @@ func Normalize(f Fairness) NormalizedFairness { return metrics.Normalize(f) }
 // with the paper's 50%/10% disproportionate rates.
 func Corrupt(d *Dataset, t ErrorTemplate, seed int64) (*Dataset, error) {
 	return corrupt.ApplyCOMPAS(d, t, seed)
-}
-
-// RunCorrectnessFairness regenerates Figure 7 for one dataset.
-func RunCorrectnessFairness(src *Source, seed int64) ([]Row, error) {
-	return experiments.CorrectnessFairness(src, seed)
-}
-
-// RunRobustness regenerates Figure 9 (T1-T3 on a COMPAS-schema source).
-func RunRobustness(src *Source, seed int64) ([]experiments.RobustnessResult, error) {
-	return experiments.Robustness(src, seed)
-}
-
-// RunModelSensitivity regenerates Figure 10 / Figure 21.
-func RunModelSensitivity(src *Source, seed int64) ([]experiments.SensitivityRow, error) {
-	return experiments.ModelSensitivity(src, nil, seed)
-}
-
-// RunCrossValidation regenerates the Figures 16-18 k-fold tables.
-func RunCrossValidation(src *Source, k int, seed int64) ([]Row, error) {
-	return experiments.CrossValidate(src, k, seed)
-}
-
-// RunStability regenerates Figure 22.
-func RunStability(src *Source, runs int, seed int64) ([]experiments.StabilityRow, error) {
-	return experiments.Stability(src, runs, seed)
-}
-
-// RunDataEfficiency regenerates Figure 23.
-func RunDataEfficiency(src *Source, sizes []int, seed int64) (map[string][]experiments.EfficiencyPoint, error) {
-	return experiments.DataEfficiency(src, sizes, nil, seed)
-}
-
-// RunScalabilityRows regenerates Figure 8(a-c).
-func RunScalabilityRows(src *Source, sizes []int, seed int64) (map[string][]experiments.ScalabilityPoint, error) {
-	return experiments.ScalabilityRows(src, sizes, registry.Names, seed)
-}
-
-// RunScalabilityAttrs regenerates Figure 8(d-f).
-func RunScalabilityAttrs(src *Source, attrCounts []int, sampleSize int, seed int64) (map[string][]experiments.ScalabilityPoint, error) {
-	return experiments.ScalabilityAttrs(src, attrCounts, registry.Names, sampleSize, seed)
 }

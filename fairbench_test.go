@@ -1,6 +1,7 @@
 package fairbench
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -25,21 +26,18 @@ func TestFacadeQuickPath(t *testing.T) {
 }
 
 func TestFacadeParallelism(t *testing.T) {
-	defer SetParallelism(0)
-	SetParallelism(2)
-	if Parallelism() != 2 {
-		t.Fatalf("Parallelism() = %d after SetParallelism(2)", Parallelism())
+	spec := GridSpec{Experiment: "fig7", Dataset: "german", N: 200, Seed: 1}
+	run := func(workers int) []Row {
+		out, rep, err := Run(context.Background(), spec, RunOptions{Parallelism: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Backend != BackendInproc {
+			t.Fatalf("backend %q, want in-process", rep.Backend)
+		}
+		return out.Rows
 	}
-	src := German(200, 1)
-	parallel, err := RunCorrectnessFairness(src, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	SetParallelism(1)
-	serial, err := RunCorrectnessFairness(src, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial, parallel := run(1), run(2)
 	if len(parallel) != len(serial) {
 		t.Fatalf("row counts: %d vs %d", len(parallel), len(serial))
 	}
@@ -50,9 +48,41 @@ func TestFacadeParallelism(t *testing.T) {
 			t.Fatalf("%s: parallel facade run diverges from serial", serial[i].Approach)
 		}
 	}
-	SetParallelism(0)
-	if Parallelism() < 1 {
-		t.Fatalf("default Parallelism() = %d", Parallelism())
+}
+
+// TestFacadeCacheDiskUsageAndGC: a cached run leaves one grid's cells
+// in the directory, CacheGC keeps the grids named and reclaims the rest,
+// and both calls take the directory explicitly.
+func TestFacadeCacheDiskUsageAndGC(t *testing.T) {
+	dir := t.TempDir()
+	keep := GridSpec{Experiment: "fig23", Dataset: "german", N: 200, Seed: 1, Sizes: []int{60}, Names: []string{"LR"}}
+	drop := keep
+	drop.Seed = 2
+	for _, spec := range []GridSpec{keep, drop} {
+		if _, _, err := Run(context.Background(), spec, RunOptions{CacheDir: dir}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	usage, err := CacheDiskUsage(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if usage.Fingerprints != 2 || usage.Entries != 2 || usage.Bytes <= 0 {
+		t.Fatalf("usage after two one-cell grids: %+v", usage)
+	}
+	removed, err := CacheGC(dir, keep)
+	if err != nil || removed != 1 {
+		t.Fatalf("CacheGC removed %d grid(s), err %v; want 1", removed, err)
+	}
+	if usage, err = CacheDiskUsage(dir); err != nil || usage.Fingerprints != 1 || usage.Entries != 1 {
+		t.Fatalf("usage after GC: %+v, %v", usage, err)
+	}
+	_, rep, err := Run(context.Background(), keep, RunOptions{CacheDir: dir})
+	if err != nil || rep.CellsCached != 1 {
+		t.Fatalf("kept grid not served from the cache after GC: %+v, %v", rep, err)
+	}
+	if _, err := CacheGC(dir, GridSpec{Experiment: "nope"}); err == nil {
+		t.Fatal("CacheGC accepted an invalid keep spec")
 	}
 }
 
@@ -122,7 +152,7 @@ func TestFacadeModelSwap(t *testing.T) {
 func TestFacadeSharding(t *testing.T) {
 	// The facade's cross-process story end to end: plan, run the three
 	// shards (round-tripping each envelope through its wire encoding),
-	// merge, and compare against the plain driver on the same data.
+	// merge, and compare against an in-process Run of the same spec.
 	spec := GridSpec{Experiment: "fig7", Dataset: "german", N: 200, Seed: 5}
 	ranges, err := PlanShards(spec, 3)
 	if err != nil {
@@ -149,10 +179,11 @@ func TestFacadeSharding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := RunCorrectnessFairness(German(200, 5), 5)
+	out, _, err := Run(context.Background(), spec, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	serial := out.Rows
 	if len(merged.Rows) != len(serial) {
 		t.Fatalf("row counts: %d vs %d", len(merged.Rows), len(serial))
 	}

@@ -24,6 +24,7 @@
 package dispatch
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -346,7 +347,7 @@ func workerEnvelope(m *Manifest, shardIdx int) ([]byte, error) {
 	if len(m.Ranges) > 0 {
 		env, err = experiments.RunShardPlanned(m.Spec, m.Ranges, shardIdx, cache)
 	} else {
-		env, err = experiments.RunShardCached(m.Spec, shardIdx, m.Shards, cache)
+		env, err = experiments.RunShard(context.Background(), m.Spec, shardIdx, m.Shards, cache, 0)
 	}
 	if err != nil {
 		return nil, err

@@ -71,10 +71,11 @@ type RunOptions struct {
 	// Zero falls back to Parallelism.
 	Procs int
 	// Parallelism sizes the worker pool a single process uses for grid
-	// cells: the in-process backend's pool directly, and the built-in
-	// local host's slots when Procs is zero. Zero means one worker per
-	// CPU. This is the options-first replacement for the deprecated
-	// process-global fairbench.SetParallelism.
+	// cells: the in-process backend's goroutine pool directly, and the
+	// built-in local host's slots when Procs is zero. Zero (or negative)
+	// means one worker per CPU. Each pool worker subprocess runs its
+	// range on one goroutine per CPU of its host, and the pure-timing
+	// fig8 grids always run on one worker.
 	Parallelism int
 	// Retries is how many extra attempts a failing range gets on each
 	// host of the pool: 0 means one attempt per host, so one attempt in
@@ -293,7 +294,7 @@ func runInproc(ctx context.Context, spec experiments.Spec, opts RunOptions) (*ex
 	if err != nil {
 		return nil, nil, err
 	}
-	env, err := experiments.RunShardContext(ctx, spec, 0, 1, s, opts.Parallelism)
+	env, err := experiments.RunShard(ctx, spec, 0, 1, s, opts.Parallelism)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -2,12 +2,14 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
-	"fairbench/internal/runner"
+	"fairbench/internal/dataset"
 	"fairbench/internal/shard"
 	"fairbench/internal/synth"
 )
@@ -120,7 +122,7 @@ func TestBiasedShardMergeMatchesSerial(t *testing.T) {
 			for _, k := range tc.shards {
 				envs := make([]*shard.Envelope, k)
 				for i := 0; i < k; i++ {
-					env, err := RunShard(spec, i, k)
+					env, err := RunShard(context.Background(), spec, i, k, nil, 0)
 					if err != nil {
 						t.Fatalf("shard %d/%d: %v", i, k, err)
 					}
@@ -148,18 +150,9 @@ func TestBiasedShardMergeMatchesSerial(t *testing.T) {
 // leak into a biased grid's results (injection happens once in Open,
 // not per worker).
 func TestBiasedGridStableAcrossParallelism(t *testing.T) {
-	defer runner.SetParallelism(0)
 	spec := biasSweepSpecs()[0]
-	runner.SetParallelism(1)
-	serial, err := mustOpen(t, spec).RunAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	runner.SetParallelism(4)
-	pooled, err := mustOpen(t, spec).RunAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := runAll(t, withWorkers(mustOpen(t, spec), 1))
+	pooled := runAll(t, withWorkers(mustOpen(t, spec), 4))
 	if !bytes.Equal(canonical(t, serial), canonical(t, pooled)) {
 		t.Fatal("biased grid diverges across -parallel settings")
 	}
@@ -174,7 +167,7 @@ func TestBiasCacheIsolation(t *testing.T) {
 		Bias: BiasLabel, BiasRate: 0.2}
 	s := openStore(t)
 
-	cold, err := RunShardCached(spec, 0, 1, s)
+	cold, err := RunShard(context.Background(), spec, 0, 1, s, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +175,7 @@ func TestBiasCacheIsolation(t *testing.T) {
 		t.Fatalf("cold run claims %d cached cells", len(cold.Cached))
 	}
 
-	warm, err := RunShardCached(spec, 0, 1, s)
+	warm, err := RunShard(context.Background(), spec, 0, 1, s, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +197,7 @@ func TestBiasCacheIsolation(t *testing.T) {
 	other := spec
 	other.BiasRate = 0.3
 	before := s.Counters()
-	env, err := RunShardCached(other, 0, 1, s)
+	env, err := RunShard(context.Background(), other, 0, 1, s, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,4 +286,23 @@ func TestBiasedSourceHasNoProvenance(t *testing.T) {
 	if src.Dataset != "" || src.N != 0 || src.Seed != 0 {
 		t.Fatalf("biased source carries provenance Dataset=%q N=%d Seed=%d", src.Dataset, src.N, src.Seed)
 	}
+}
+
+// sameData reports whether two datasets are bit-identical in everything
+// a grid cell can observe: labels, group membership, and features.
+func sameData(a, b *dataset.Dataset) bool {
+	if a.Len() != b.Len() || len(a.Attrs) != len(b.Attrs) {
+		return false
+	}
+	for i := range a.Y {
+		if a.Y[i] != b.Y[i] || a.S[i] != b.S[i] {
+			return false
+		}
+	}
+	for i := range a.X {
+		if !slices.Equal(a.X[i], b.X[i]) {
+			return false
+		}
+	}
+	return true
 }

@@ -1,34 +1,23 @@
 package experiments
 
 import (
+	"fmt"
+
 	"fairbench/internal/registry"
 	"fairbench/internal/rng"
 	"fairbench/internal/stats"
 	"fairbench/internal/synth"
 )
 
-// CrossValidate reproduces the 5-fold cross-validation tables (Figures
-// 16-18): every approach's metrics averaged over k folds. The (fold ×
-// approach) grid runs as one flat job list; per-fold baseline subtraction
-// and the fold average are post-passes in the serial loop's order, so the
+// cvGrid builds the k-fold cross-validation tables (Figures 16-18):
+// every approach's metrics averaged over k folds. The (fold × approach)
+// grid runs as one flat job list; per-fold baseline subtraction and the
+// fold average are post-passes in the serial loop's order, so the
 // aggregate floats match a serial run bit for bit.
-func CrossValidate(src *synth.Source, k int, seed int64) ([]Row, error) {
-	if k >= 2 {
-		if out, ok, err := specOutput(src, seed, Spec{Experiment: "cv", K: k}); ok {
-			if err != nil {
-				return nil, err
-			}
-			return out.Rows, nil
-		}
+func cvGrid(src *synth.Source, k int, seed int64) (*Grid, error) {
+	if n := src.Data.Len(); k > n {
+		return nil, fmt.Errorf("experiments: cv with %d folds over %d tuples leaves folds empty", k, n)
 	}
-	out, err := cvGrid(src, k, seed).RunAll()
-	if err != nil {
-		return nil, err
-	}
-	return out.Rows, nil
-}
-
-func cvGrid(src *synth.Source, k int, seed int64) *Grid {
 	folds := src.Data.KFold(k, rng.New(seed))
 	names := append([]string{"LR"}, registry.Names...)
 	slices := make([]splitPair, len(folds))
@@ -59,7 +48,7 @@ func cvGrid(src *synth.Source, k int, seed int64) *Grid {
 				scaleRow(&acc[i], inv)
 			}
 			return &Output{Rows: acc}, nil
-		})
+		}), nil
 }
 
 func addRow(dst *Row, src Row) {
@@ -108,26 +97,9 @@ type StabilityRow struct {
 	F1Mean, F1Std     float64
 }
 
-// Stability reproduces Figure 22: runs random 2/3-1/3 folds and reports
-// per-metric variance. Folds are drawn up front (each from its own
-// rng.New(seed+run), exactly as the serial protocol), then the (run ×
-// approach) grid fans out across the pool.
-func Stability(src *synth.Source, runs int, seed int64) ([]StabilityRow, error) {
-	if runs >= 1 {
-		if out, ok, err := specOutput(src, seed, Spec{Experiment: "fig22", Runs: runs}); ok {
-			if err != nil {
-				return nil, err
-			}
-			return out.Stability, nil
-		}
-	}
-	out, err := stabilityGrid(src, runs, seed).RunAll()
-	if err != nil {
-		return nil, err
-	}
-	return out.Stability, nil
-}
-
+// stabilityGrid builds Figure 22: random 2/3-1/3 folds, each drawn up
+// front from its own rng.New(seed+run) as in the serial protocol, with
+// per-metric variance over the (run × approach) cells.
 func stabilityGrid(src *synth.Source, runs int, seed int64) *Grid {
 	names := append([]string{"LR"}, registry.Names...)
 	slices := make([]splitPair, runs)
@@ -173,26 +145,9 @@ type EfficiencyPoint struct {
 	Row  Row
 }
 
-// DataEfficiency reproduces Figure 23: every approach is retrained on
-// growing training samples and evaluated on a fixed held-out test set.
-// Samples are drawn up front (rng.New(seed+size), as in the serial
-// protocol); the (size × approach) grid fans out across the pool.
-func DataEfficiency(src *synth.Source, sizes []int, names []string, seed int64) (map[string][]EfficiencyPoint, error) {
-	if sizes != nil {
-		if out, ok, err := specOutput(src, seed, Spec{Experiment: "fig23", Sizes: sizes, Names: names}); ok {
-			if err != nil {
-				return nil, err
-			}
-			return out.Efficiency, nil
-		}
-	}
-	out, err := efficiencyGrid(src, sizes, names, seed).RunAll()
-	if err != nil {
-		return nil, err
-	}
-	return out.Efficiency, nil
-}
-
+// efficiencyGrid builds Figure 23: every approach is retrained on
+// growing training samples (drawn up front with rng.New(seed+size)) and
+// evaluated on a fixed held-out test set.
 func efficiencyGrid(src *synth.Source, sizes []int, names []string, seed int64) *Grid {
 	if names == nil {
 		names = append([]string{"LR"}, registry.Names...)

@@ -1,5 +1,5 @@
-// Package experiments implements one driver per artifact of the paper's
-// evaluation (Section 4 and the appendix):
+// Package experiments implements one job grid per artifact of the
+// paper's evaluation (Section 4 and the appendix):
 //
 //	Figure 7    — correctness & fairness of all approaches × 3 datasets
 //	Figure 8    — efficiency & scalability vs data size and #attributes
@@ -9,15 +9,14 @@
 //	Figure 22   — stability over random train/test folds
 //	Figure 23   — data efficiency vs training-set size
 //
-// Every driver is deterministic given its seed and returns structured rows
-// the report package renders. Every driver's (approach × dataset-slice)
-// job list is a first-class Grid (see grid.go): an enumerable, indexable
-// cell set that fans across a runner worker pool in process, and — because
-// a Spec fully determines every cell — can also be split into contiguous
-// shards that run in other processes or hosts and merge back bit-identical
-// (see internal/shard). Each cell constructs its own approach and RNG from
+// A Spec names one experiment grid and Open materializes it (see
+// grid.go): an enumerable, indexable (approach × dataset-slice) cell set
+// that fans across a runner worker pool in process, and — because a Spec
+// fully determines every cell — can also be split into contiguous shards
+// that run in other processes or hosts and merge back bit-identical (see
+// internal/shard). Each cell constructs its own approach and RNG from
 // explicit seeds, so the rows are identical to a serial run for a fixed
-// seed; only wall time changes with runner.SetParallelism. Baseline-
+// seed; only wall time changes with the worker count. Baseline-
 // overhead accounting (Section 4.3) is a post-pass over the collected
 // rows, keeping the timing subtraction well-defined regardless of
 // completion order.
@@ -73,24 +72,6 @@ func Evaluate(a fair.Approach, train, test *dataset.Dataset, g *causal.Graph) (R
 		Fair:     metrics.Normalize(raw),
 		Seconds:  elapsed,
 	}, nil
-}
-
-// CorrectnessFairness reproduces Figure 7 for one dataset: the baseline LR
-// followed by all 18 variants on a 70/30 split. With a result cache
-// configured and a stock benchmark source, the run routes through the
-// fingerprinted Spec path so cached cells are reused.
-func CorrectnessFairness(src *synth.Source, seed int64) ([]Row, error) {
-	if out, ok, err := specOutput(src, seed, Spec{Experiment: "fig7"}); ok {
-		if err != nil {
-			return nil, err
-		}
-		return out.Rows, nil
-	}
-	out, err := fig7Grid(src, seed).RunAll()
-	if err != nil {
-		return nil, err
-	}
-	return out.Rows, nil
 }
 
 // fig7Grid builds the Figure 7 grid: one 70/30 split × (baseline + all 18
@@ -165,24 +146,8 @@ type scaleSlice struct {
 	train, test *dataset.Dataset
 }
 
-// ScalabilityRows reproduces Figure 8(a-c): runtime overhead as the number
-// of training points grows, on samples of the given dataset.
-func ScalabilityRows(src *synth.Source, sizes []int, names []string, seed int64) (map[string][]ScalabilityPoint, error) {
-	if sizes != nil && names != nil {
-		if out, ok, err := specOutput(src, seed, Spec{Experiment: "fig8rows", Sizes: sizes, Names: names}); ok {
-			if err != nil {
-				return nil, err
-			}
-			return out.Scalability, nil
-		}
-	}
-	out, err := scaleRowsGrid(src, sizes, names, seed).RunAll()
-	if err != nil {
-		return nil, err
-	}
-	return out.Scalability, nil
-}
-
+// scaleRowsGrid builds Figure 8(a-c): runtime overhead as the number of
+// training points grows, on samples of the dataset.
 func scaleRowsGrid(src *synth.Source, sizes []int, names []string, seed int64) *Grid {
 	slices := make([]scaleSlice, len(sizes))
 	for i, n := range sizes {
@@ -193,25 +158,8 @@ func scaleRowsGrid(src *synth.Source, sizes []int, names []string, seed int64) *
 	return scaleGrid(slices, names, src.Graph, seed)
 }
 
-// ScalabilityAttrs reproduces Figure 8(d-f): runtime overhead as the
-// number of attributes grows, by projecting the dataset onto attribute
-// prefixes.
-func ScalabilityAttrs(src *synth.Source, attrCounts []int, names []string, sampleSize int, seed int64) (map[string][]ScalabilityPoint, error) {
-	if attrCounts != nil && names != nil && sampleSize > 0 {
-		if out, ok, err := specOutput(src, seed, Spec{Experiment: "fig8attrs", AttrCounts: attrCounts, Names: names, SampleSize: sampleSize}); ok {
-			if err != nil {
-				return nil, err
-			}
-			return out.Scalability, nil
-		}
-	}
-	out, err := scaleAttrsGrid(src, attrCounts, names, sampleSize, seed).RunAll()
-	if err != nil {
-		return nil, err
-	}
-	return out.Scalability, nil
-}
-
+// scaleAttrsGrid builds Figure 8(d-f): runtime overhead as the number of
+// attributes grows, by projecting the dataset onto attribute prefixes.
 func scaleAttrsGrid(src *synth.Source, attrCounts []int, names []string, sampleSize int, seed int64) *Grid {
 	sample := src.Data.Sample(sampleSize, rng.New(seed))
 	slices := make([]scaleSlice, len(attrCounts))

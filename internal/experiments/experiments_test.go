@@ -9,11 +9,7 @@ import (
 )
 
 func TestCorrectnessFairnessShape(t *testing.T) {
-	src := synth.COMPAS(1200, 1)
-	rows, err := CorrectnessFairness(src, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := runAll(t, fig7Grid(synth.COMPAS(1200, 1), 1)).Rows
 	if len(rows) != 19 { // LR + 18 variants
 		t.Fatalf("rows: %d", len(rows))
 	}
@@ -36,11 +32,7 @@ func TestEveryApproachImprovesItsTarget(t *testing.T) {
 	// The paper's core Figure 7 claim: every approach improves the metric
 	// it targets relative to the fairness-unaware baseline (allowing a
 	// small sampling slack).
-	src := synth.COMPAS(3000, 2)
-	rows, err := CorrectnessFairness(src, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := runAll(t, fig7Grid(synth.COMPAS(3000, 2), 3)).Rows
 	base := rows[0]
 	for _, r := range rows[1:] {
 		if len(r.Targets) == 0 {
@@ -58,11 +50,7 @@ func TestEveryApproachImprovesItsTarget(t *testing.T) {
 }
 
 func TestScalabilityRows(t *testing.T) {
-	src := synth.COMPAS(1500, 1)
-	series, err := ScalabilityRows(src, []int{300, 800}, []string{"KamCal-DP", "Hardt-EO"}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	series := runAll(t, scaleRowsGrid(synth.COMPAS(1500, 1), []int{300, 800}, []string{"KamCal-DP", "Hardt-EO"}, 1)).Scalability
 	for name, pts := range series {
 		if len(pts) != 2 {
 			t.Fatalf("%s: %d points", name, len(pts))
@@ -76,11 +64,7 @@ func TestScalabilityRows(t *testing.T) {
 }
 
 func TestScalabilityAttrs(t *testing.T) {
-	src := synth.Adult(1200, 1)
-	series, err := ScalabilityAttrs(src, []int{2, 5}, []string{"Feld-DP"}, 1000, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	series := runAll(t, scaleAttrsGrid(synth.Adult(1200, 1), []int{2, 5}, []string{"Feld-DP"}, 1000, 1)).Scalability
 	if len(series["Feld-DP"]) != 2 {
 		t.Fatalf("points: %d", len(series["Feld-DP"]))
 	}
@@ -88,17 +72,15 @@ func TestScalabilityAttrs(t *testing.T) {
 
 func TestRobustness(t *testing.T) {
 	src := synth.COMPAS(1500, 1)
-	results, err := Robustness(src, 1)
+	g, err := robustnessGrid(src, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	results := runAll(t, g).Robustness
 	if len(results) != 3 {
 		t.Fatalf("templates: %d", len(results))
 	}
-	clean, err := CorrectnessFairness(src, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	clean := runAll(t, fig7Grid(src, 1)).Rows
 	for _, res := range results {
 		if res.Template < corrupt.T1 || res.Template > corrupt.T3 {
 			t.Fatalf("template: %v", res.Template)
@@ -111,11 +93,7 @@ func TestRobustness(t *testing.T) {
 }
 
 func TestModelSensitivitySpreads(t *testing.T) {
-	src := synth.Adult(1200, 1)
-	rows, err := ModelSensitivity(src, []string{"Feld-DP", "KamKar-DP"}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := runAll(t, sensitivityGrid(synth.Adult(1200, 1), []string{"Feld-DP", "KamKar-DP"}, 1)).Sensitivity
 	if len(rows) != 2*len(ModelNames) {
 		t.Fatalf("rows: %d", len(rows))
 	}
@@ -134,11 +112,11 @@ func TestModelSensitivitySpreads(t *testing.T) {
 }
 
 func TestCrossValidate(t *testing.T) {
-	src := synth.German(600, 1)
-	rows, err := CrossValidate(src, 3, 1)
+	g, err := cvGrid(synth.German(600, 1), 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := runAll(t, g).Rows
 	if len(rows) != 19 {
 		t.Fatalf("rows: %d", len(rows))
 	}
@@ -150,11 +128,7 @@ func TestCrossValidate(t *testing.T) {
 }
 
 func TestStability(t *testing.T) {
-	src := synth.COMPAS(900, 1)
-	rows, err := Stability(src, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := runAll(t, stabilityGrid(synth.COMPAS(900, 1), 3, 1)).Stability
 	if len(rows) != 19 {
 		t.Fatalf("rows: %d", len(rows))
 	}
@@ -166,11 +140,7 @@ func TestStability(t *testing.T) {
 }
 
 func TestDataEfficiency(t *testing.T) {
-	src := synth.COMPAS(1500, 1)
-	series, err := DataEfficiency(src, []int{100, 400}, []string{"LR", "KamCal-DP"}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	series := runAll(t, efficiencyGrid(synth.COMPAS(1500, 1), []int{100, 400}, []string{"LR", "KamCal-DP"}, 1)).Efficiency
 	for name, pts := range series {
 		if len(pts) != 2 {
 			t.Fatalf("%s: %d points", name, len(pts))
@@ -182,11 +152,7 @@ func TestDataEfficiency(t *testing.T) {
 }
 
 func TestExtensions(t *testing.T) {
-	src := synth.COMPAS(1200, 1)
-	rows, err := Extensions(src, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := runAll(t, extensionsGrid(synth.COMPAS(1200, 1), 1)).Rows
 	if len(rows) != 4 { // LR + 3 appendix variants
 		t.Fatalf("rows: %d", len(rows))
 	}
@@ -206,18 +172,23 @@ func TestExtensions(t *testing.T) {
 
 func TestEvaluateDeterministic(t *testing.T) {
 	src := synth.COMPAS(800, 1)
-	r1, err := CorrectnessFairness(src, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := CorrectnessFairness(src, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r1 := runAll(t, fig7Grid(src, 5)).Rows
+	r2 := runAll(t, fig7Grid(src, 5)).Rows
 	for i := range r1 {
 		if r1[i].Correct.Accuracy != r2[i].Correct.Accuracy ||
 			r1[i].Fair.DIStar != r2[i].Fair.DIStar {
 			t.Fatalf("%s: non-deterministic metrics", r1[i].Approach)
 		}
 	}
+}
+
+// runAll runs a grid built straight from a Source — the in-package form
+// of the paper's drivers, for tests that pass a custom dataset.
+func runAll(t *testing.T, g *Grid) *Output {
+	t.Helper()
+	out, err := g.RunAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

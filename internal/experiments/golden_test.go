@@ -8,9 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"fairbench/internal/runner"
-	"fairbench/internal/synth"
 )
 
 // -update regenerates the golden files instead of comparing against them:
@@ -30,12 +27,11 @@ var update = flag.Bool("update", false, "rewrite golden testdata files")
 // nondeterminism. The pinned floats assume Go's default strict float64
 // semantics on the CI architecture (amd64, no FMA contraction); if CI
 // ever changes architecture, regenerate with -update and review the diff.
+// goldenSpec is the pinned grid: Figure 7 on 300 COMPAS tuples, seed 42.
+var goldenSpec = Spec{Experiment: "fig7", Dataset: "compas", N: 300, Seed: 42}
+
 func TestGoldenRowsCOMPAS(t *testing.T) {
-	src := synth.COMPAS(300, 42)
-	rows, err := CorrectnessFairness(src, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := runAll(t, mustOpen(t, goldenSpec)).Rows
 	for i := range rows {
 		rows[i].Seconds, rows[i].Overhead = 0, 0
 	}
@@ -71,18 +67,10 @@ func TestGoldenRowsCOMPAS(t *testing.T) {
 // TestGoldenRowsCOMPAS this pins the golden file to both execution
 // modes, not just to whichever one the test harness happens to use.
 func TestGoldenRowsStableAcrossParallelism(t *testing.T) {
-	defer runner.SetParallelism(0)
-	src := synth.COMPAS(300, 42)
-	runner.SetParallelism(1)
-	a, err := CorrectnessFairness(src, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runner.SetParallelism(4)
-	b, err := CorrectnessFairness(src, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial, pooled := mustOpen(t, goldenSpec), mustOpen(t, goldenSpec)
+	serial.SetWorkers(1)
+	pooled.SetWorkers(4)
+	a, b := runAll(t, serial).Rows, runAll(t, pooled).Rows
 	for i := range a {
 		if a[i].Correct != b[i].Correct || a[i].Fair != b[i].Fair {
 			t.Fatalf("%s: repeated run diverges", a[i].Approach)

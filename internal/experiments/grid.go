@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 
@@ -17,36 +18,6 @@ import (
 	"fairbench/internal/store"
 	"fairbench/internal/synth"
 )
-
-// defaultCache is the process-wide result cache grids opened from a Spec
-// consult (see SetDefaultCache). Nil disables caching. Guarded by a
-// mutex rather than an atomic pointer because store.Backend is an
-// interface value.
-var defaultCache struct {
-	mu sync.RWMutex
-	b  store.Backend
-}
-
-// SetDefaultCache installs (or, with nil, removes) the process-wide
-// result cache — any store.Backend: on-disk, remote, or tiered. Every
-// grid subsequently materialized by Open consults it in RunRange: cells
-// whose (fingerprint, index, seed, GOARCH) key is cached are served
-// instead of recomputed, and freshly computed cells are written back.
-// Safe for concurrent use; grids opened before the call keep the cache
-// they were opened with.
-func SetDefaultCache(b store.Backend) {
-	defaultCache.mu.Lock()
-	defaultCache.b = b
-	defaultCache.mu.Unlock()
-}
-
-// DefaultCache returns the process-wide result cache, or nil when
-// caching is disabled.
-func DefaultCache() store.Backend {
-	defaultCache.mu.RLock()
-	defer defaultCache.mu.RUnlock()
-	return defaultCache.b
-}
 
 // Spec is the serializable identity of one experiment grid: enough to
 // rebuild the exact same (approach × dataset-slice) job list in any
@@ -178,6 +149,21 @@ var DefaultSensitivityApproaches = []string{
 func (s Spec) Normalize() (Spec, error) {
 	s.Experiment = strings.ToLower(strings.TrimSpace(s.Experiment))
 	s.Dataset = strings.ToLower(strings.TrimSpace(s.Dataset))
+	// A negative size would otherwise alias a default (n -5 and n 0 both
+	// synthesize the paper size) under a different fingerprint.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"n", s.N}, {"k", s.K}, {"runs", s.Runs}, {"sampleSize", s.SampleSize}} {
+		if f.v < 0 {
+			return s, fmt.Errorf("experiments: negative %s %d", f.name, f.v)
+		}
+	}
+	for _, v := range slices.Concat(s.Sizes, s.AttrCounts) {
+		if v < 0 {
+			return s, fmt.Errorf("experiments: negative size %d in sizes/attrCounts", v)
+		}
+	}
 	switch s.Experiment {
 	case "fig7", "fig15", "cv":
 		if s.Dataset == "" {
@@ -294,9 +280,8 @@ type Cell struct {
 }
 
 // Output is a fully assembled grid result; exactly one payload field is
-// populated, matching the experiment. It is what every driver function
-// returns (unwrapped to its native type) and what MergeShards rebuilds
-// from a shard set.
+// populated, matching the experiment. It is what RunAll returns and
+// what MergeShards rebuilds from a shard set.
 type Output struct {
 	Experiment  string                        `json:"experiment,omitempty"`
 	Spec        Spec                          `json:"spec"`
@@ -340,9 +325,11 @@ type Grid struct {
 	assemble func(g *Grid, cells []Cell) (*Output, error)
 	// cache, when non-nil on a grid opened from a Spec, short-circuits
 	// RunRange cells through the result store (disk, remote, or tiered).
+	// Open leaves it nil; the shard entry points set the store they are
+	// given.
 	cache store.Backend
-	// workers overrides the runner pool size for this grid's RunRange
-	// calls; 0 uses the process default (see SetWorkers).
+	// workers is the runner pool size for this grid's RunRange calls;
+	// 0 means one worker per CPU (see SetWorkers).
 	workers int
 }
 
@@ -373,7 +360,7 @@ func Open(spec Spec) (*Grid, error) {
 	case "fig9":
 		g, err = robustnessGrid(src, ns.Seed)
 	case "cv":
-		g = cvGrid(src, ns.K, ns.Seed)
+		g, err = cvGrid(src, ns.K, ns.Seed)
 	case "fig22":
 		g = stabilityGrid(src, ns.Runs, ns.Seed)
 	case "fig23":
@@ -395,84 +382,17 @@ func Open(spec Spec) (*Grid, error) {
 		return nil, err
 	}
 	g.spec, g.specJSON = ns, canonical
-	g.cache = DefaultCache()
 	return g, nil
 }
 
-// SetCache overrides the grid's result cache (nil disables it for this
-// grid). Open installs the process-wide default; this hook lets one run
-// use a dedicated cache directory without touching global state.
-func (g *Grid) SetCache(s store.Backend) { g.cache = s }
-
 // SetWorkers pins the worker-pool size this grid's RunRange calls use
-// (n <= 0 restores the process-wide default from runner.SetParallelism).
-// It is how engine.RunOptions.Parallelism reaches the in-process pool
-// without mutating global state; the pure-timing grids ignore it and
+// (n <= 0 means one worker per CPU). The pure-timing grids ignore it and
 // always run with one worker.
 func (g *Grid) SetWorkers(n int) {
 	if n < 0 {
 		n = 0
 	}
 	g.workers = n
-}
-
-// specOutput reroutes a Source-based driver call through the Spec/Open
-// path — the only path with a grid fingerprint, and therefore the only
-// one the result cache can serve — when three conditions hold: a
-// process-wide cache is configured, the source carries stock-benchmark
-// provenance, and the source's synthesis seed equals the driver's
-// experiment seed (the Spec path uses one seed for both). The caller
-// fills the experiment-specific spec fields; dataset identity comes from
-// the source. Because the Spec path re-synthesizes the dataset, the
-// reroute also verifies the source's data still equals what its
-// provenance would generate — a caller that mutated the generated data
-// (say, to inject bias by hand) falls back to the direct, uncached path
-// instead of being answered about data it never passed. When the reroute
-// does not apply for any reason, ok=false and the caller runs its direct
-// grid exactly as before.
-func specOutput(src *synth.Source, seed int64, spec Spec) (out *Output, ok bool, err error) {
-	if DefaultCache() == nil || src.Dataset == "" || src.Seed != seed {
-		return nil, false, nil
-	}
-	spec.Dataset, spec.N, spec.Seed = src.Dataset, src.N, seed
-	regen, err := sourceFor(spec.Dataset, spec.N, seed)
-	// A source that IS the memoized materialization needs no comparison;
-	// anything else is verified value by value against the regeneration.
-	if err != nil || (regen.Data != src.Data && !sameData(regen.Data, src.Data)) {
-		return nil, false, nil
-	}
-	g, err := Open(spec)
-	if err != nil {
-		return nil, false, nil
-	}
-	out, err = g.RunAll()
-	return out, true, err
-}
-
-// sameData reports whether two datasets are bit-identical in everything
-// a grid cell can observe. Generators are deterministic, so a pristine
-// provenance-matched source compares equal; any post-generation
-// mutation — labels, features, group membership — compares unequal.
-func sameData(a, b *dataset.Dataset) bool {
-	if a.Len() != b.Len() || len(a.Attrs) != len(b.Attrs) {
-		return false
-	}
-	for i := range a.Y {
-		if a.Y[i] != b.Y[i] || a.S[i] != b.S[i] {
-			return false
-		}
-	}
-	for i := range a.X {
-		if len(a.X[i]) != len(b.X[i]) {
-			return false
-		}
-		for j := range a.X[i] {
-			if a.X[i][j] != b.X[i][j] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // specNames resolves a spec's approach override for the scalability
@@ -493,9 +413,8 @@ type sourceKey struct {
 }
 
 // sourceMemo caches materialized sources per process. Every fingerprinted
-// execution path — Open (and through it PlanShards, RunShard, the merge
-// validation, and every driver's Spec reroute) plus specOutput's
-// provenance check — funnels through sourceFor, so one run synthesizes
+// execution path — Open, and through it PlanShards, RunShard, and the
+// merge validation — funnels through sourceFor, so one run synthesizes
 // each (dataset, n, seed) at most once no matter how many grids,
 // shards, or verification passes touch it. The memoized Source is shared
 // read-only: grid slices are zero-copy views into its flat backing (the
@@ -506,13 +425,13 @@ var sourceMemo sync.Map // sourceKey -> *synth.Source
 // biasedSource applies the spec's bias-injection model to a pristine
 // benchmark source and returns a provenance-free derivative: injection
 // invalidates the (dataset, n, seed) reconstruction contract stock
-// sources carry, so the result must never be mistaken for stock data by
-// the Source-based cache reroute (specOutput). The memoized clean source
-// is shared read-only — under-representation keeps zero-copy views into
-// its backing, label bias copies only the label column — and injection
-// itself is deterministic per tuple (rng.Derive streams inside
-// internal/corrupt), so every process that Opens this spec sees
-// bit-identical biased data regardless of parallelism or sharding.
+// sources carry, so the result must never be mistaken for stock data.
+// The memoized clean source is shared read-only — under-representation
+// keeps zero-copy views into its backing, label bias copies only the
+// label column — and injection itself is deterministic per tuple
+// (rng.Derive streams inside internal/corrupt), so every process that
+// Opens this spec sees bit-identical biased data regardless of
+// parallelism or sharding.
 func biasedSource(src *synth.Source, ns Spec) (*synth.Source, error) {
 	var (
 		biased *dataset.Dataset
@@ -811,8 +730,7 @@ func (g *Grid) Assemble(cells []Cell) (*Output, error) {
 }
 
 // RunAll executes the whole grid in this process and assembles it — the
-// single-process path every driver function uses, and the reference a
-// sharded run must reproduce.
+// reference a sharded run must reproduce.
 func (g *Grid) RunAll() (*Output, error) {
 	cells, err := g.RunRange(0, g.Len())
 	if err != nil {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -86,7 +87,7 @@ func TestShardMergeMatchesSerial(t *testing.T) {
 			const k = 3
 			envs := make([]*shard.Envelope, k)
 			for i := 0; i < k; i++ {
-				env, err := RunShard(spec, i, k)
+				env, err := RunShard(context.Background(), spec, i, k, nil, 0)
 				if err != nil {
 					t.Fatalf("shard %d: %v", i, err)
 				}
@@ -108,26 +109,6 @@ func TestShardMergeMatchesSerial(t *testing.T) {
 					spec.Experiment, want, got)
 			}
 		})
-	}
-}
-
-// TestDriverMatchesSpecPath pins the two entry points to each other: the
-// direct driver functions and the Spec/Open path must materialize the
-// same grid and produce the same rows.
-func TestDriverMatchesSpecPath(t *testing.T) {
-	src := synth.German(240, 7)
-	rows, err := CorrectnessFairness(src, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := mustOpen(t, Spec{Experiment: "fig7", Dataset: "german", N: 240, Seed: 7}).RunAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := canonical(t, &Output{Rows: rows})
-	b := canonical(t, &Output{Rows: out.Rows})
-	if !bytes.Equal(a, b) {
-		t.Fatal("Spec path diverges from direct driver call")
 	}
 }
 
@@ -158,10 +139,23 @@ func TestSpecNormalizeDefaultsAndErrors(t *testing.T) {
 		{Experiment: "fig7", Seed: 1},                        // dataset required
 		{Experiment: "fig7", Dataset: "mars", Seed: 1},       // unknown dataset
 		{Experiment: "cv", Dataset: "german", K: 1, Seed: 1}, // k too small
+		// Negative sizes would alias the defaults under other fingerprints.
+		{Experiment: "fig7", Dataset: "german", N: -5, Seed: 1},
+		{Experiment: "fig7", Dataset: "german", K: -1, Seed: 1},
+		{Experiment: "cv", Dataset: "german", K: -3, Seed: 1},
+		{Experiment: "fig22", Runs: -1, Seed: 1},
+		{Experiment: "fig8attrs", SampleSize: -10, Seed: 1},
+		{Experiment: "fig23", Sizes: []int{100, -1}, Seed: 1},
+		{Experiment: "fig8attrs", AttrCounts: []int{-2}, Seed: 1},
 	} {
 		if _, err := bad.Normalize(); err == nil {
 			t.Fatalf("spec %+v accepted", bad)
 		}
+	}
+	// More folds than tuples leaves folds empty: Open refuses the grid
+	// instead of handing empty test sets to the worker pool.
+	if _, err := Open(Spec{Experiment: "cv", Dataset: "german", N: 50, K: 1000, Seed: 1}); err == nil {
+		t.Fatal("cv with 1000 folds over 50 tuples opened")
 	}
 }
 
@@ -198,15 +192,15 @@ func TestMergeShardsRejectsForeignEnvelope(t *testing.T) {
 	specA := Spec{Experiment: "fig23", Dataset: "compas", N: 300, Seed: 1, Sizes: []int{60, 120}, Names: []string{"LR"}}
 	specB := specA
 	specB.Seed = 2
-	a0, err := RunShard(specA, 0, 2)
+	a0, err := RunShard(context.Background(), specA, 0, 2, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a1, err := RunShard(specA, 1, 2)
+	a1, err := RunShard(context.Background(), specA, 1, 2, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b1, err := RunShard(specB, 1, 2)
+	b1, err := RunShard(context.Background(), specB, 1, 2, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,11 +244,11 @@ func TestFingerprintIgnoresUnusedSpecFields(t *testing.T) {
 	if fpClean != fpNoisy {
 		t.Fatal("fingerprint depends on fields fig7 ignores")
 	}
-	a, err := RunShard(clean, 0, 2)
+	a, err := RunShard(context.Background(), clean, 0, 2, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunShard(noisy, 1, 2)
+	b, err := RunShard(context.Background(), noisy, 1, 2, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

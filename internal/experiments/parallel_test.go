@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"fairbench/internal/runner"
 	"fairbench/internal/synth"
 )
 
@@ -18,24 +17,21 @@ func stripTiming(rows []Row) []Row {
 	return out
 }
 
+// withWorkers pins a grid's worker-pool size.
+func withWorkers(g *Grid, workers int) *Grid {
+	g.SetWorkers(workers)
+	return g
+}
+
 // TestSerialParallelIdenticalRows is the tentpole's acceptance gate:
 // parallel execution must reproduce the serial rows exactly (modulo
 // timing) for a fixed seed, across seeds and worker counts.
 func TestSerialParallelIdenticalRows(t *testing.T) {
-	defer runner.SetParallelism(0)
 	for _, seed := range []int64{1, 2, 7} {
 		src := synth.German(200, seed)
-		runner.SetParallelism(1)
-		serial, err := CorrectnessFairness(src, seed)
-		if err != nil {
-			t.Fatalf("seed %d serial: %v", seed, err)
-		}
+		serial := runAll(t, withWorkers(fig7Grid(src, seed), 1)).Rows
 		for _, workers := range []int{2, 4, 8} {
-			runner.SetParallelism(workers)
-			parallel, err := CorrectnessFairness(src, seed)
-			if err != nil {
-				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
-			}
+			parallel := runAll(t, withWorkers(fig7Grid(src, seed), workers)).Rows
 			if !reflect.DeepEqual(stripTiming(serial), stripTiming(parallel)) {
 				t.Fatalf("seed %d: parallel rows (workers=%d) diverge from serial", seed, workers)
 			}
@@ -47,18 +43,15 @@ func TestSerialParallelIdenticalRows(t *testing.T) {
 // averages must also be bit-identical (summation order is fixed by the
 // post-pass, not by job completion order).
 func TestSerialParallelIdenticalCV(t *testing.T) {
-	defer runner.SetParallelism(0)
 	src := synth.German(300, 1)
-	runner.SetParallelism(1)
-	serial, err := CrossValidate(src, 3, 1)
-	if err != nil {
-		t.Fatal(err)
+	cv := func(workers int) []Row {
+		g, err := cvGrid(src, 3, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return runAll(t, withWorkers(g, workers)).Rows
 	}
-	runner.SetParallelism(4)
-	parallel, err := CrossValidate(src, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial, parallel := cv(1), cv(4)
 	if !reflect.DeepEqual(stripTiming(serial), stripTiming(parallel)) {
 		t.Fatal("parallel CV rows diverge from serial")
 	}
@@ -67,19 +60,10 @@ func TestSerialParallelIdenticalCV(t *testing.T) {
 // TestSerialParallelIdenticalSensitivity covers a grid driver with a
 // non-default classifier factory per cell.
 func TestSerialParallelIdenticalSensitivity(t *testing.T) {
-	defer runner.SetParallelism(0)
 	src := synth.COMPAS(600, 1)
 	approaches := []string{"Feld-DP", "KamKar-DP"}
-	runner.SetParallelism(1)
-	serial, err := ModelSensitivity(src, approaches, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runner.SetParallelism(4)
-	parallel, err := ModelSensitivity(src, approaches, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := runAll(t, withWorkers(sensitivityGrid(src, approaches, 1), 1)).Sensitivity
+	parallel := runAll(t, withWorkers(sensitivityGrid(src, approaches, 1), 4)).Sensitivity
 	if len(serial) != len(parallel) {
 		t.Fatalf("row counts: %d vs %d", len(serial), len(parallel))
 	}

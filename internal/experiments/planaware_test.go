@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math/rand"
 	"runtime"
@@ -63,7 +64,7 @@ func TestPlanCacheAwareFullyCachedAssignsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunShardCached(spec, 0, 1, st); err != nil {
+	if _, err := RunShard(context.Background(), spec, 0, 1, st, 0); err != nil {
 		t.Fatal(err)
 	}
 	plan, err := PlanShardsCacheAware(spec, 3, st)
@@ -113,7 +114,7 @@ func TestPlanRunMergeRoundTripArbitrarySubsets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunShardCached(spec, 0, 1, full); err != nil {
+	if _, err := RunShard(context.Background(), spec, 0, 1, full, 0); err != nil {
 		t.Fatal(err)
 	}
 

@@ -16,29 +16,10 @@ type RobustnessResult struct {
 	Rows     []Row
 }
 
-// Robustness reproduces Figure 9: COMPAS corrupted by templates T1-T3 with
-// the paper's 50%/10% disproportionate rates. Corruption is cheap and
-// happens when the grid is materialized; the expensive (template ×
-// approach) grid then fans out as one flat job list so all three templates
-// train concurrently.
-func Robustness(src *synth.Source, seed int64) ([]RobustnessResult, error) {
-	if out, ok, err := specOutput(src, seed, Spec{Experiment: "fig9"}); ok {
-		if err != nil {
-			return nil, err
-		}
-		return out.Robustness, nil
-	}
-	g, err := robustnessGrid(src, seed)
-	if err != nil {
-		return nil, err
-	}
-	out, err := g.RunAll()
-	if err != nil {
-		return nil, err
-	}
-	return out.Robustness, nil
-}
-
+// robustnessGrid builds Figure 9: COMPAS corrupted by templates T1-T3
+// with the paper's 50%/10% disproportionate rates. Corruption is cheap
+// and happens here; the expensive (template × approach) grid then fans
+// out as one flat job list so all three templates train concurrently.
 func robustnessGrid(src *synth.Source, seed int64) (*Grid, error) {
 	train, test := src.Data.Split(0.7, rng.New(seed))
 	templates := []corrupt.Template{corrupt.T1, corrupt.T2, corrupt.T3}

@@ -35,27 +35,11 @@ type SensitivityRow struct {
 	Row             Row
 }
 
-// ModelSensitivity reproduces Figure 10 / Figure 21: each pre- and
-// post-processing approach is paired with each of the five model families;
-// in-processing approaches are excluded because their mechanism is welded
-// to their own learner (Section 4.5 evaluates pre and post only).
-func ModelSensitivity(src *synth.Source, approaches []string, seed int64) ([]SensitivityRow, error) {
-	if out, ok, err := specOutput(src, seed, Spec{Experiment: "fig10", Names: approaches}); ok {
-		if err != nil {
-			return nil, err
-		}
-		return out.Sensitivity, nil
-	}
-	out, err := sensitivityGrid(src, approaches, seed).RunAll()
-	if err != nil {
-		return nil, err
-	}
-	return out.Sensitivity, nil
-}
-
-// sensitivityGrid builds the (model family × approach) grid; each cell
-// builds its own classifier factory so no state crosses goroutines or
-// processes.
+// sensitivityGrid builds Figure 10 / Figure 21: each pre- and
+// post-processing approach paired with each of the five model families
+// (in-processing approaches are excluded because their mechanism is
+// welded to their own learner). Each cell builds its own classifier
+// factory so no state crosses goroutines or processes.
 func sensitivityGrid(src *synth.Source, approaches []string, seed int64) *Grid {
 	if approaches == nil {
 		approaches = DefaultSensitivityApproaches
@@ -88,7 +72,7 @@ type SensitivitySpread struct {
 	AccByModel, DIByModel map[string]float64
 }
 
-// Spreads aggregates ModelSensitivity rows.
+// Spreads aggregates model-sensitivity rows.
 func Spreads(rows []SensitivityRow) []SensitivitySpread {
 	order := []string{}
 	agg := map[string]*SensitivitySpread{}

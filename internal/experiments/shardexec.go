@@ -15,7 +15,7 @@ import (
 // and merging envelopes back into driver-native output. The invariant the
 // shard-equivalence tests pin down: for any Spec and any k,
 //
-//	MergeShards(RunShard(spec, 0, k), …, RunShard(spec, k-1, k))
+//	MergeShards(RunShard(ctx, spec, 0, k, …), …, RunShard(ctx, spec, k-1, k, …))
 //
 // equals Open(spec).RunAll() except for the wall-time fields — whether the
 // shards ran in one process, k processes, or k hosts.
@@ -212,47 +212,30 @@ func (p *ShardPlan) ServeEnvelope(i int) (*shard.Envelope, bool) {
 	return env, true
 }
 
-// RunShard executes shard i of a k-way split of the spec's grid and
-// returns the serializable partial-result envelope. Each shard
-// re-materializes the grid from the spec (datasets are synthesized from
-// the spec's seed), so shards share no state and can run anywhere. When
-// a process-wide result cache is configured (SetDefaultCache), cells
-// with verified cache entries are served instead of computed, and the
-// envelope's Cached field records which ones.
-func RunShard(spec Spec, i, k int) (*shard.Envelope, error) {
+// RunShard executes shard i of a k-way split of the spec's grid on a
+// pool of workers goroutines (<= 0: one per CPU) and returns the
+// serializable partial-result envelope. Each shard re-materializes the
+// grid from the spec (datasets are synthesized from the spec's seed), so
+// shards share no state and can run anywhere. With a non-nil store,
+// cells with verified entries are served instead of computed, and the
+// envelope's Cached field records which ones; a nil store runs every
+// cell cold. A done ctx stops the pool promptly (no new cells start;
+// in-flight cells finish) and the error wraps ctx.Err().
+func RunShard(ctx context.Context, spec Spec, i, k int, s store.Backend, workers int) (*shard.Envelope, error) {
 	g, err := Open(spec)
 	if err != nil {
 		return nil, err
 	}
-	return runShard(context.Background(), g, i, k)
-}
-
-// RunShardContext is RunShard with an explicit result store, a
-// cancellation context, and a worker-pool size: a done ctx stops the
-// worker pool promptly (no new cells start; in-flight cells finish) and
-// the error wraps ctx.Err(). A nil store runs every cell cold, matching
-// the worker subprocess contract rather than inheriting the process
-// default; workers <= 0 uses the process-wide runner default.
-func RunShardContext(ctx context.Context, spec Spec, i, k int, s store.Backend, workers int) (*shard.Envelope, error) {
-	g, err := Open(spec)
-	if err != nil {
-		return nil, err
-	}
-	g.SetCache(s)
+	g.cache = s
 	g.SetWorkers(workers)
-	return runShard(ctx, g, i, k)
-}
-
-// RunShardCached is RunShard against an explicit result store, leaving
-// the process-wide default untouched — the worker-subprocess entry point
-// and the facade's one-shot cached path.
-func RunShardCached(spec Spec, i, k int, s store.Backend) (*shard.Envelope, error) {
-	g, err := Open(spec)
+	ranges, err := shard.PlanAligned(g.Len(), k, g.alignment())
 	if err != nil {
 		return nil, err
 	}
-	g.SetCache(s)
-	return runShard(context.Background(), g, i, k)
+	if i < 0 || i >= k {
+		return nil, fmt.Errorf("experiments: shard %d of %d out of range", i, k)
+	}
+	return runPlanned(ctx, g, ranges, i)
 }
 
 // RunShardPlanned executes ranges[i] of an explicit plan of the spec's
@@ -268,7 +251,7 @@ func RunShardPlanned(spec Spec, ranges []shard.Range, i int, s store.Backend) (*
 	if err != nil {
 		return nil, err
 	}
-	g.SetCache(s)
+	g.cache = s
 	if err := validatePlan(g, ranges); err != nil {
 		return nil, err
 	}
@@ -299,17 +282,6 @@ func validatePlan(g *Grid, ranges []shard.Range) error {
 		return fmt.Errorf("experiments: plan covers [0,%d) of a %d-cell grid", prev, g.Len())
 	}
 	return nil
-}
-
-func runShard(ctx context.Context, g *Grid, i, k int) (*shard.Envelope, error) {
-	ranges, err := shard.PlanAligned(g.Len(), k, g.alignment())
-	if err != nil {
-		return nil, err
-	}
-	if i < 0 || i >= k {
-		return nil, fmt.Errorf("experiments: shard %d of %d out of range", i, k)
-	}
-	return runPlanned(ctx, g, ranges, i)
 }
 
 // runPlanned executes ranges[i] into an envelope at plan position

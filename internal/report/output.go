@@ -1,8 +1,7 @@
-// output.go renders merged grid results (experiments.Output) into the
-// same tables the serial CLI commands print. Extracted from
-// cmd/fairbench so the serve daemon's /runs/{id}/table endpoint and the
-// CLI's merge/dispatch/sched paths share one renderer — the
-// byte-identical-to-serial guarantee then covers HTTP responses too.
+// output.go renders grid results (experiments.Output) as tables. The
+// CLI's figure, merge, dispatch and sched commands and the serve
+// daemon's /runs/{id}/table endpoint share this one renderer, so the
+// byte-identical-to-serial guarantee covers HTTP responses too.
 package report
 
 import (
@@ -13,49 +12,83 @@ import (
 	"fairbench/internal/experiments"
 )
 
-// RenderOutput writes a merged grid result as the tables the serial
-// command would print (minus the serial-only extras, like fig9's
-// clean-training deltas, which need a second grid).
+// RenderOutput writes a grid result as its tables. Every path that
+// prints a grid — the figure commands, merge, the subprocess pool, and
+// the serve daemon — renders through here, so their output is
+// byte-identical, titles included.
 func RenderOutput(w io.Writer, out *experiments.Output) error {
 	spec := out.Spec
-	ds := DatasetLabel(spec)
+	on := subject(spec)
 	switch out.Experiment {
-	case "fig7", "fig15", "cv":
-		title := fmt.Sprintf("%s — merged shards (%s, seed %d)", out.Experiment, ds, spec.Seed)
-		return RowsTable(title, out.Rows).Render(w)
+	case "fig7":
+		return RowsTable("Figure 7 — correctness & fairness on "+on, out.Rows).Render(w)
+	case "fig15":
+		return RowsTable("Figure 15 — appendix extensions on "+on, out.Rows).Render(w)
+	case "cv":
+		return RowsTable(fmt.Sprintf("Figures 16-18 — %d-fold cross validation on %s", spec.K, on), out.Rows).Render(w)
 	case "fig9":
-		for _, res := range out.Robustness {
-			title := fmt.Sprintf("Figure 9 — robustness on %s + %s (merged shards)", ds, res.Template)
+		for i, res := range out.Robustness {
+			if i > 0 {
+				fmt.Fprintln(w)
+			}
+			title := fmt.Sprintf("Figure 9 — robustness to %s on %s", res.Template, on)
 			if err := RowsTable(title, res.Rows).Render(w); err != nil {
 				return err
 			}
-			fmt.Fprintln(w)
 		}
 		return nil
 	case "fig10":
-		return RenderSensitivity(w, out.Sensitivity, ds)
+		return renderSensitivity(w, out.Sensitivity, on)
 	case "fig22":
-		return RenderStability(w, out.Stability, spec.Runs, ds)
+		return renderStability(w, out.Stability, spec.Runs, on)
 	case "fig23":
-		return RenderEfficiency(w, out.Efficiency, spec.Sizes, ds)
+		return renderEfficiency(w, out.Efficiency, spec.Sizes, on)
 	case "fig8rows":
-		return ScalabilityTable(fmt.Sprintf("Figure 8(a-c) — overhead vs #data points (%s, merged shards)", ds), "points", out.Scalability).Render(w)
+		return scalabilityTable("Figure 8(a-c) — runtime overhead vs #data points on "+on, "points", out.Scalability).Render(w)
 	case "fig8attrs":
-		return ScalabilityTable(fmt.Sprintf("Figure 8(d-f) — overhead vs #attributes (%s, merged shards)", ds), "attrs", out.Scalability).Render(w)
+		return scalabilityTable("Figure 8(d-f) — runtime overhead vs #attributes on "+on, "attrs", out.Scalability).Render(w)
 	default:
 		return fmt.Errorf("render: unknown experiment %q", out.Experiment)
 	}
 }
 
-// DatasetLabel names the data a grid actually ran on: the stock dataset,
-// suffixed with the bias-injection setting when the spec carries one.
-// Every table title routes through this so a biased grid can never be
-// mistaken for a clean one in rendered output.
-func DatasetLabel(spec experiments.Spec) string {
+// subject names what a grid ran on for its table titles: the dataset,
+// suffixed with the bias-injection setting when the spec carries one
+// (so a biased grid can never be mistaken for a clean one), the size
+// cap, and the seed.
+func subject(spec experiments.Spec) string {
+	ds := spec.Dataset
 	if b := spec.BiasLabelText(); b != "" {
-		return spec.Dataset + " [" + b + "]"
+		ds += " [" + b + "]"
 	}
-	return spec.Dataset
+	n := "paper size"
+	if spec.N > 0 {
+		n = fmt.Sprintf("n=%d", spec.N)
+	}
+	return fmt.Sprintf("%s (%s, seed %d)", ds, n, spec.Seed)
+}
+
+// RenderDeltas writes Figure 9's per-template degradation tables: each
+// approach's accuracy and target-fairness drop from clean training (the
+// rows of the fig7 grid on the same data) to training on the template's
+// corrupted data.
+func RenderDeltas(w io.Writer, clean []experiments.Row, robustness []experiments.RobustnessResult) error {
+	for i, res := range robustness {
+		if i > 0 {
+			fmt.Fprintln(w)
+		}
+		t := &Table{
+			Title:   fmt.Sprintf("Δ vs clean training (%s)", res.Template),
+			Headers: []string{"approach", "accuracy drop", "target-fairness drop"},
+		}
+		for _, d := range experiments.Deltas(clean, res) {
+			t.Add(d.Approach, F(d.AccuracyDrop), F(d.TargetFairDrop))
+		}
+		if err := t.Render(w); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // RowsTable lays out per-approach correctness/fairness rows — the
@@ -77,9 +110,9 @@ func RowsTable(title string, rows []experiments.Row) *Table {
 	return t
 }
 
-// ScalabilityTable lays out Figure 8's overhead-vs-x series, one row
+// scalabilityTable lays out Figure 8's overhead-vs-x series, one row
 // per approach, one column per x value.
-func ScalabilityTable(title, xlabel string, series map[string][]experiments.ScalabilityPoint) *Table {
+func scalabilityTable(title, xlabel string, series map[string][]experiments.ScalabilityPoint) *Table {
 	names := make([]string, 0, len(series))
 	for n := range series {
 		names = append(names, n)
@@ -106,11 +139,11 @@ func ScalabilityTable(title, xlabel string, series map[string][]experiments.Scal
 	return t
 }
 
-// RenderSensitivity writes Figure 10/21's model-sensitivity table plus
+// renderSensitivity writes Figure 10/21's model-sensitivity table plus
 // the per-approach spread summary.
-func RenderSensitivity(w io.Writer, rows []experiments.SensitivityRow, dataset string) error {
+func renderSensitivity(w io.Writer, rows []experiments.SensitivityRow, on string) error {
 	t := &Table{
-		Title:   fmt.Sprintf("Figure 10/21 — model sensitivity on %s", dataset),
+		Title:   "Figure 10/21 — model sensitivity on " + on,
 		Headers: []string{"approach", "model", "acc", "DI*", "1-|TE|"},
 	}
 	for _, r := range rows {
@@ -131,10 +164,10 @@ func RenderSensitivity(w io.Writer, rows []experiments.SensitivityRow, dataset s
 	return st.Render(w)
 }
 
-// RenderStability writes Figure 22's mean±std stability table.
-func RenderStability(w io.Writer, rows []experiments.StabilityRow, runs int, dataset string) error {
+// renderStability writes Figure 22's mean±std stability table.
+func renderStability(w io.Writer, rows []experiments.StabilityRow, runs int, on string) error {
 	t := &Table{
-		Title:   fmt.Sprintf("Figure 22 — stability over %d random folds (%s)", runs, dataset),
+		Title:   fmt.Sprintf("Figure 22 — stability over %d random folds on %s", runs, on),
 		Headers: []string{"approach", "stage", "acc mean±std", "DI* mean±std", "1-|TPRB| mean±std", "f1 mean±std"},
 	}
 	for _, r := range rows {
@@ -147,9 +180,9 @@ func RenderStability(w io.Writer, rows []experiments.StabilityRow, runs int, dat
 	return t.Render(w)
 }
 
-// RenderEfficiency writes Figure 23's accuracy-by-training-size and
+// renderEfficiency writes Figure 23's accuracy-by-training-size and
 // DI*-by-training-size tables.
-func RenderEfficiency(w io.Writer, series map[string][]experiments.EfficiencyPoint, sizes []int, dataset string) error {
+func renderEfficiency(w io.Writer, series map[string][]experiments.EfficiencyPoint, sizes []int, on string) error {
 	names := make([]string, 0, len(series))
 	for name := range series {
 		names = append(names, name)
@@ -159,7 +192,7 @@ func RenderEfficiency(w io.Writer, series map[string][]experiments.EfficiencyPoi
 	for _, s := range sizes {
 		headers = append(headers, fmt.Sprintf("acc@%d", s))
 	}
-	t := &Table{Title: fmt.Sprintf("Figure 23 — data efficiency on %s (accuracy by training size)", dataset), Headers: headers}
+	t := &Table{Title: "Figure 23 — accuracy by training size on " + on, Headers: headers}
 	for _, name := range names {
 		cells := []string{name}
 		for _, p := range series[name] {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"fairbench/internal/experiments"
 )
 
 func sample() *Table {
@@ -61,5 +63,30 @@ func TestFormatters(t *testing.T) {
 	}
 	if F2(1.0/3) != "0.33" {
 		t.Fatalf("F2: %q", F2(1.0/3))
+	}
+}
+
+// TestRenderOutputTitles pins the one title every path prints for a
+// grid: dataset label (bias setting included), size cap and seed.
+func TestRenderOutputTitles(t *testing.T) {
+	for _, tc := range []struct {
+		spec experiments.Spec
+		want string
+	}{
+		{experiments.Spec{Experiment: "fig7", Dataset: "german", N: 240, Seed: 7},
+			"Figure 7 — correctness & fairness on german (n=240, seed 7)"},
+		{experiments.Spec{Experiment: "cv", Dataset: "adult", K: 5, Seed: 1},
+			"Figures 16-18 — 5-fold cross validation on adult (paper size, seed 1)"},
+		{experiments.Spec{Experiment: "fig7", Dataset: "compas", N: 300, Seed: 2, Bias: experiments.BiasLabel, BiasRate: 0.2},
+			"Figure 7 — correctness & fairness on compas [label bias ν=0.2] (n=300, seed 2)"},
+	} {
+		var buf bytes.Buffer
+		out := &experiments.Output{Experiment: tc.spec.Experiment, Spec: tc.spec}
+		if err := RenderOutput(&buf, out); err != nil {
+			t.Fatal(err)
+		}
+		if got, _, _ := strings.Cut(buf.String(), "\n"); got != tc.want {
+			t.Errorf("title %q, want %q", got, tc.want)
+		}
 	}
 }

@@ -66,6 +66,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -75,7 +76,6 @@ import (
 	"fairbench/internal/dispatch"
 	"fairbench/internal/experiments"
 	"fairbench/internal/rng"
-	"fairbench/internal/runner"
 	"fairbench/internal/shard"
 	"fairbench/internal/store"
 )
@@ -86,7 +86,7 @@ type Options struct {
 	// manifest.json and part files. Required.
 	Dir string
 	// Hosts is the execution pool. Empty defaults to one local host
-	// whose slot count is the runner parallelism.
+	// with one slot per CPU.
 	Hosts []Host
 	// Shards targets how many work ranges the cache-aware plan produces
 	// (the actual count varies with cache fragmentation). Defaults to
@@ -518,7 +518,7 @@ func poolDead(pool []*hostState) bool {
 // resolve against it mid-run).
 func buildPool(opts *Options) ([]*hostState, map[string]Transport, error) {
 	if len(opts.Hosts) == 0 {
-		opts.Hosts = []Host{{Name: "local", Slots: runner.Parallelism()}}
+		opts.Hosts = []Host{{Name: "local", Slots: runtime.GOMAXPROCS(0)}}
 	}
 	if opts.HeartbeatTimeout <= 0 {
 		opts.HeartbeatTimeout = 60 * time.Second
@@ -902,14 +902,17 @@ func schedule(ctx context.Context, pool []*hostState, transports map[string]Tran
 			suffix = ", speculative"
 		}
 		logf("sched: range %d → host %s (attempt %d%s)", pr.idx, hs.Name, pr.attempts, suffix)
-		outTmp := fl.outTmp
+		// The attempt goroutine reads only these copies: a host that
+		// re-joins mid-attempt has its definition and transport rewritten
+		// by applyPoolUpdate on the event loop.
+		outTmp, transport, host, rangeIdx := fl.outTmp, hs.transport, hs.Host, pr.idx
 		go func() {
 			defer cancel()
-			err := hs.transport.Run(flctx, hs.Host, Assignment{
-				ManifestPath: manifestPath, Manifest: manifestBytes, Range: pr.idx, OutPath: outTmp,
+			err := transport.Run(flctx, host, Assignment{
+				ManifestPath: manifestPath, Manifest: manifestBytes, Range: rangeIdx, OutPath: outTmp,
 			}, func() {
 				fl.lastBeat.Store(time.Now().UnixNano())
-				emit(Event{Type: EventHeartbeat, Host: hs.Name, Range: pr.idx})
+				emit(Event{Type: EventHeartbeat, Host: host.Name, Range: rangeIdx})
 			})
 			if err == nil && flctx.Err() != nil {
 				// The scheduler abandoned this attempt (heartbeat lapse,

@@ -47,9 +47,6 @@ func NewTiered(local Backend, remote *RemoteStore) *TieredStore {
 	return &TieredStore{local: local, remote: remote, FailThreshold: DefaultFailThreshold}
 }
 
-// Local returns the front (local) tier.
-func (t *TieredStore) Local() Backend { return t.local }
-
 // Remote returns the back (remote) tier.
 func (t *TieredStore) Remote() *RemoteStore { return t.remote }
 

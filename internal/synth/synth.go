@@ -35,13 +35,10 @@ import (
 // pre-processing approaches.
 //
 // The provenance fields record which generator produced the source and
-// with what arguments. They make a stock benchmark source reconstructible
-// from (Dataset, N, Seed) alone — which is what lets the experiment
-// drivers route a Source-based run through the fingerprinted Spec path
-// (and therefore the result cache) whenever the provenance matches: the
-// spec re-synthesizes bit-identical data. A Source assembled by hand
-// (e.g. from externally loaded data) leaves Dataset empty and is simply
-// never cached.
+// with what arguments, so a stock benchmark source is reconstructible
+// from (Dataset, N, Seed) alone. A Source assembled by hand (e.g. from
+// externally loaded data, or a bias-injected derivative) leaves Dataset
+// empty.
 type Source struct {
 	Data  *dataset.Dataset
 	Graph *causal.Graph
